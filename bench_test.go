@@ -146,26 +146,12 @@ func BenchmarkListVsModulo(b *testing.B) {
 // BenchmarkScheduleLivermore times scheduling the Livermore suite alone
 // (the per-loop cost a compiler pays).
 func BenchmarkScheduleLivermore(b *testing.B) {
-	benchScheduleLivermore(b, false)
-}
-
-// BenchmarkScheduleLivermoreScan is BenchmarkScheduleLivermore with the
-// compiled placement masks disabled (Options.ScanMRT), timing the
-// reference use-by-use MRT scan. The pair measures what the bit-packed
-// reservation tables buy on the findTimeSlot hot path; schedules are
-// bit-identical either way.
-func BenchmarkScheduleLivermoreScan(b *testing.B) {
-	benchScheduleLivermore(b, true)
-}
-
-func benchScheduleLivermore(b *testing.B, scan bool) {
 	m := modsched.Cydra5()
 	loops, err := modsched.LivermoreKernels(m)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := modsched.DefaultOptions()
-	opts.ScanMRT = scan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {

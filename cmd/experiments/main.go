@@ -30,7 +30,6 @@ import (
 	"sort"
 	"strings"
 
-	"modsched/internal/benchrun"
 	"modsched/internal/core"
 	"modsched/internal/experiments"
 	"modsched/internal/ir"
@@ -50,8 +49,6 @@ func main() {
 		doUnroll   = flag.Bool("unroll", false, "Section 5 baseline: unroll-before-scheduling vs modulo")
 		doPress    = flag.Bool("pressure", false, "register-pressure study (extension)")
 		doAll      = flag.Bool("all", false, "run everything")
-		doBench    = flag.Bool("bench", false, "run the headline benchmarks and emit JSON (see -benchout)")
-		benchOut   = flag.String("benchout", "BENCH_PR7.json", "where -bench writes its JSON report")
 		n          = flag.Int("n", 0, "synthetic corpus size (default: the paper's 1300)")
 		seed       = flag.Int64("seed", 0, "corpus seed (default: built-in)")
 		machName   = flag.String("machine", "cydra5", "machine model: cydra5 (the paper's), generic, tiny, or a machlang file")
@@ -59,7 +56,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "parallel scheduling workers (0 = one per CPU, 1 = sequential)")
 		useCache   = flag.Bool("cache", false, "memoize compilations across corpus runs with a shared compile cache")
 		streamDir  = flag.String("stream", "", "run the streaming corpus report over the sharded corpus in this directory (see corpusgen -shards)")
-		warm       = flag.Bool("warm", false, "enable warm-start near-miss seeding on the compile cache (implies -cache when streaming)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -68,7 +64,7 @@ func main() {
 		*doTable3, *doFig6, *doTable4, *doSummary = true, true, true, true
 		*doFig1, *doTable2, *doUnroll, *doPress = true, true, true, true
 	}
-	if !(*doTable3 || *doFig6 || *doTable4 || *doSummary || *doFig1 || *doTable2 || *doUnroll || *doPress || *doBench || *streamDir != "" || *matrix != "") {
+	if !(*doTable3 || *doFig6 || *doTable4 || *doSummary || *doFig1 || *doTable2 || *doUnroll || *doPress || *streamDir != "" || *matrix != "") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -110,18 +106,15 @@ func main() {
 
 	if *streamDir != "" {
 		// The report itself is deterministic and goes to stdout so scripts
-		// can diff it byte-for-byte; cache and warm traffic depend on worker
-		// interleaving and go to stderr.
+		// can diff it byte-for-byte; cache traffic depends on worker
+		// interleaving and goes to stderr.
 		paths, err := filepath.Glob(filepath.Join(*streamDir, "shard-*.mscorp"))
 		check(err)
 		sort.Strings(paths)
 		m := machine.Cydra5()
 		var cache *schedcache.Cache
-		if *useCache || *warm {
+		if *useCache {
 			cache = schedcache.New(0)
-			if *warm {
-				cache.EnableWarmStart(0)
-			}
 		}
 		rep, err := experiments.RunCorpusStream(ctx, paths, m, 2, *workers, cache)
 		check(err)
@@ -130,23 +123,8 @@ func main() {
 			st := cache.Stats()
 			fmt.Fprintf(os.Stderr, "compile cache: %d hits, %d misses, %d inflight joins, %d evictions\n",
 				st.Hits, st.Misses, st.Inflight, st.Evictions)
-			if *warm {
-				ws := cache.WarmStats()
-				fmt.Fprintf(os.Stderr, "warm start: %d near hits, %d near misses, %d warm starts, %d seeded ops, %d skipped II attempts, %d fallbacks\n",
-					ws.NearHits, ws.NearMisses, ws.WarmStarts, ws.SeededOps, ws.SkippedII, ws.Fallbacks)
-			}
 		}
 		return
-	}
-
-	if *doBench {
-		rep, err := benchrun.Run(*workers)
-		check(err)
-		fmt.Print(rep.Format())
-		if *benchOut != "" {
-			check(benchrun.Save(*benchOut, rep))
-			fmt.Println("wrote", *benchOut)
-		}
 	}
 
 	m, _, err := machine.ResolveSpec(*machName)
@@ -175,18 +153,10 @@ func main() {
 	var cache *schedcache.Cache
 	if *useCache {
 		cache = schedcache.New(0)
-		if *warm {
-			cache.EnableWarmStart(0)
-		}
 		defer func() {
 			st := cache.Stats()
 			fmt.Printf("compile cache: %d hits, %d misses, %d inflight joins, %d evictions\n",
 				st.Hits, st.Misses, st.Inflight, st.Evictions)
-			if *warm {
-				ws := cache.WarmStats()
-				fmt.Printf("warm start: %d near hits, %d near misses, %d warm starts, %d seeded ops, %d skipped II attempts, %d fallbacks\n",
-					ws.NearHits, ws.NearMisses, ws.WarmStarts, ws.SeededOps, ws.SkippedII, ws.Fallbacks)
-			}
 		}()
 	}
 

@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batchWorkers   = fs.Int("batch-workers", 0, "workers fanning one batch across the pool (0 = GOMAXPROCS)")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "longest to wait for in-flight requests on shutdown")
 		persistCache   = fs.String("persist-cache", "", "directory for the crash-safe persistent schedule cache (empty = memory only)")
-		warmStart      = fs.Bool("warm", false, "seed cache misses from structural near-neighbors (schedules unchanged; the SchedSteps effort counter in responses reflects the cheaper search, so enable fleet-wide or not at all)")
 		jobsDir        = fs.String("jobs", "", "journal directory for the async jobs API (empty = jobs API off)")
 		jobWorkers     = fs.Int("job-workers", 0, "concurrent job compiles (0 = GOMAXPROCS)")
 		jobQueue       = fs.Int("job-queue", 0, "admitted-but-unfinished job bound (0 = 1024)")
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		QueueWait:      *queueWait,
 		CompileTimeout: *compileTimeout,
 		BatchWorkers:   *batchWorkers,
-		WarmStart:      *warmStart,
 	})
 	if *persistCache != "" {
 		// Mount the disk tier before the listener: a replica restarted

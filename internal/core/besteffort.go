@@ -64,22 +64,13 @@ func ModuloScheduleBestEffort(ctx context.Context, l *ir.Loop, m *machine.Machin
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return bestEffortChain(ctx, l, m, opts, func() (*Schedule, error) {
-		return ModuloScheduleContext(ctx, l, m, opts)
-	})
-}
-
-// bestEffortChain runs the fallback chain with a caller-supplied
-// iterative stage, so the warm-seeded entry point (warm.go) shares the
-// exact degradation semantics of the cold one.
-func bestEffortChain(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, iterative func() (*Schedule, error)) (*Schedule, *Degradation, error) {
 	deg := &Degradation{}
 	type stage struct {
 		name string
 		run  func() (*Schedule, error)
 	}
 	stages := []stage{
-		{StageIterative, iterative},
+		{StageIterative, func() (*Schedule, error) { return ModuloScheduleContext(ctx, l, m, opts) }},
 		{StageSlack, func() (*Schedule, error) { return ModuloScheduleSlackContext(ctx, l, m, opts) }},
 		{StageAcyclic, func() (*Schedule, error) { return acyclicDegenerate(ctx, l, m, opts) }},
 	}

@@ -58,9 +58,8 @@ func (m *mrt) reset(ii, nres int) {
 }
 
 // cell maps an arbitrary (possibly negative) time to its modulo cell.
-// Probing paths that may see any time — conflicts, warm-seed probes,
-// tests — use this wrapping version; the scheduler's placement paths use
-// cellFast below.
+// Probing paths that may see any time — conflicts, tests — use this
+// wrapping version; the scheduler's placement paths use cellFast below.
 func (m *mrt) cell(t int, r machine.Resource) int {
 	tm := t % m.ii
 	if tm < 0 {

@@ -29,7 +29,7 @@ func probeState(tb testing.TB, scan bool) *state {
 		tb.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.ScanMRT = scan
+	opts.scanMRT = scan
 	var c Counters
 	p, err := newProblem(nil, best, m, opts, &c)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // accelerator of the reference use-by-use scan: same slot, same
 // alternative index, schedules and all counters bit-identical. The tests
 // in this file pin that contract by compiling everything twice — once per
-// path, toggled by Options.ScanMRT — and requiring interchangeable
+// path, toggled by Options.scanMRT — and requiring interchangeable
 // results.
 
 // assertBitsetEqualsScan schedules l with the compiled-mask path and the
@@ -27,9 +27,9 @@ func assertBitsetEqualsScan(t *testing.T, name string, l *ir.Loop, m *machine.Ma
 		}
 		return ModuloSchedule(l, m, o)
 	}
-	opts.ScanMRT = false
+	opts.scanMRT = false
 	fast, fastErr := run(opts)
-	opts.ScanMRT = true
+	opts.scanMRT = true
 	ref, refErr := run(opts)
 
 	if (fastErr == nil) != (refErr == nil) {
@@ -96,49 +96,6 @@ func TestBitsetMatchesScanCorpus(t *testing.T) {
 				v.mut(&opts)
 				assertBitsetEqualsScan(t, mk.name+"/"+l.Name+"/"+v.name, l, mk.m, opts, v.algo)
 			}
-		}
-	}
-}
-
-// TestBitsetMatchesScanWarm runs the warm-start battery through both MRT
-// paths: the seeded probes exercise seedFits/seedPlace, and the Warm*
-// effort counters must agree exactly (the mask path may not change which
-// seeds land).
-func TestBitsetMatchesScanWarm(t *testing.T) {
-	m := machine.Generic(machine.DefaultUnitConfig())
-	n := 40
-	if testing.Short() {
-		n = 8
-	}
-	loops, err := loopgen.Generate(loopgen.Config{Seed: 20260808, N: n, MaxOps: 40}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.RestartOnFailure = true // the regime where warm skipping actually triggers
-	for _, l := range loops {
-		cold, coldErr := ModuloSchedule(l, m, opts)
-		if coldErr != nil {
-			t.Fatalf("%s: cold compile failed: %v", l.Name, coldErr)
-		}
-		for _, shift := range []int{0, 2} {
-			seed := identitySeed(cold, shift)
-			fast, fastErr := ModuloScheduleWarm(l, m, opts, seed)
-			scan := opts
-			scan.ScanMRT = true
-			ref, refErr := ModuloScheduleWarm(l, m, scan, seed)
-			if fastErr != nil || refErr != nil {
-				t.Fatalf("%s/shift%d: warm errs: bitset %v, scan %v", l.Name, shift, fastErr, refErr)
-			}
-			if !reflect.DeepEqual(fast.Times, ref.Times) || !reflect.DeepEqual(fast.Alts, ref.Alts) || fast.II != ref.II {
-				t.Fatalf("%s/shift%d: warm schedules diverge between paths", l.Name, shift)
-			}
-			if fast.Stats != ref.Stats {
-				t.Fatalf("%s/shift%d: warm counters diverge:\nbitset %+v\nscan   %+v",
-					l.Name, shift, fast.Stats, ref.Stats)
-			}
-			// And the warm result must still be the cold result.
-			assertWarmEqualsCold(t, l.Name+"/bitset-warm", l, m, opts, seed, cold, nil)
 		}
 	}
 }

@@ -79,14 +79,12 @@ type Options struct {
 	// identical to the sequential search for any worker count; only
 	// wall-clock time changes. 0 and 1 mean sequential.
 	SearchWorkers int
-	// ScanMRT disables the compiled placement masks (machine.Compiled)
-	// and answers every MRT fit with the reference use-by-use scan. The
-	// bitset path is a pure accelerator — schedules, alternatives, and
-	// counters are bit-identical either way (pinned by the differential
-	// battery in mrtbitset_test.go) — so this knob, like SearchWorkers,
-	// changes only speed and is excluded from cache keys. It exists for
-	// differential testing and for measuring the masks' benefit.
-	ScanMRT bool
+
+	// scanMRT answers every MRT fit with the reference use-by-use scan
+	// instead of the compiled placement masks (machine.Compiled). Only
+	// this package's tests set it: the masks are bit-identical to the scan
+	// (mrtbitset_test.go), which stays as their reference.
+	scanMRT bool
 }
 
 // DefaultOptions returns the configuration recommended by the paper's
@@ -115,19 +113,6 @@ type Counters struct {
 	Unschedules int64
 	// IIAttempts counts IterativeSchedule invocations.
 	IIAttempts int64
-
-	// Warm-start effort accounting (warm.go); all zero on cold compiles.
-	// WarmStarts counts searches that entered the seeded probe ladder.
-	WarmStarts int64
-	// WarmSeededOps counts operations pre-placed at their neighbor's slots
-	// across all warm attempts.
-	WarmSeededOps int64
-	// WarmSkippedII counts candidate IIs the warm search never attempted
-	// that the cold ladder would have.
-	WarmSkippedII int64
-	// WarmFallbacks counts warm searches abandoned to the full cold ladder
-	// because no seeded probe produced a schedule.
-	WarmFallbacks int64
 }
 
 // Add accumulates other into c.
@@ -144,10 +129,6 @@ func (c *Counters) Add(other *Counters) {
 	c.SchedStepsFinal += other.SchedStepsFinal
 	c.Unschedules += other.Unschedules
 	c.IIAttempts += other.IIAttempts
-	c.WarmStarts += other.WarmStarts
-	c.WarmSeededOps += other.WarmSeededOps
-	c.WarmSkippedII += other.WarmSkippedII
-	c.WarmFallbacks += other.WarmFallbacks
 }
 
 // problem is the prepared, immutable scheduling problem.
@@ -337,8 +318,8 @@ func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Option
 		predBack := make([]int, ne)
 		so, po := 0, 0
 		for i := 0; i < n; i++ {
-			p.succ[i] = succBack[so:so:so+outDeg[i]]
-			p.pred[i] = predBack[po:po:po+inDeg[i]]
+			p.succ[i] = succBack[so : so : so+outDeg[i]]
+			p.pred[i] = predBack[po : po : po+inDeg[i]]
 			so += outDeg[i]
 			po += inDeg[i]
 		}

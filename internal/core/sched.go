@@ -44,7 +44,7 @@ func ModuloSchedule(l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, er
 // inside the MinDist/RecMII computations, so a deadline or cancel aborts a
 // pathological search promptly. The returned error wraps ctx.Err().
 func ModuloScheduleContext(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	return scheduleLoop(ctx, l, m, opts, AlgoIterative, nil)
+	return scheduleLoop(ctx, l, m, opts, AlgoIterative)
 }
 
 // scheduleLoop is the shared II-search driver for both scheduling
@@ -52,7 +52,7 @@ func ModuloScheduleContext(ctx context.Context, l *ir.Loop, m *machine.Machine, 
 // input validation (typed ErrInvalidLoop/ErrInvalidMachine), cancellation
 // checks, and panic containment (any internal invariant violation comes
 // back as *InternalError instead of crashing the caller).
-func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, algo string, seed *WarmSeed) (sched *Schedule, err error) {
+func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options, algo string) (sched *Schedule, err error) {
 	if l == nil {
 		return nil, fmt.Errorf("core: %w: nil loop", ErrInvalidLoop)
 	}
@@ -83,18 +83,6 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 	budget := int(opts.BudgetRatio * float64(l.NumOps()))
 	if budget < l.NumOps()+1 {
 		budget = l.NumOps() + 1 // always enough to try each op once
-	}
-
-	// Warm start: with a structural neighbor's schedule in hand, probe its
-	// II with pre-placed operations and descend with cold attempts to the
-	// canonical answer (see warm.go). When the warm search declines (no
-	// skip possible) or falls back, control continues into the cold paths
-	// below with the probe effort already recorded in c.
-	if seed != nil && algo == AlgoIterative && opts.SearchWorkers <= 1 {
-		sched, decided, werr := p.searchWarm(sc, bounds, maxII, budget, seed, &c)
-		if decided {
-			return sched, werr
-		}
 	}
 
 	// Speculative II race: with more than one search worker and more than
@@ -216,7 +204,7 @@ type state struct {
 	prio  []int // priority value per op
 
 	// comp holds the machine's compiled placement masks at this II
-	// (machine.Compiled, shared globally); nil when Options.ScanMRT asks
+	// (machine.Compiled, shared globally); nil when Options.scanMRT asks
 	// for the reference scan. selfOK is the scan path's per-attempt
 	// selfConsistent memo, indexed by p.altOff[op]+ai: 0 unknown, 1
 	// consistent, 2 self-colliding. The compiled path answers the same
@@ -255,37 +243,11 @@ func (s *state) iterativeSchedule(budget int) (attemptOutcome, error) {
 		}
 	}
 
-	if err := s.assignPriority(); err != nil {
-		return attemptInfeasible, err
-	}
-
-	stepsAtEntry := p.counters.SchedSteps
-
-	// The ready heap must see the final priority vector; START's entry
-	// goes stale when it is placed directly below and is skipped later.
-	s.readyInit()
-
-	// Schedule START at time 0.
-	s.scheduleAt(p.loop.Start(), 0, 0)
-	budget--
-
-	outcome, err := s.drive(budget)
-	if err != nil || outcome != attemptScheduled {
-		return outcome, err
-	}
-	p.counters.SchedStepsFinal += p.counters.SchedSteps - stepsAtEntry
-	return attemptScheduled, nil
-}
-
-// assignPriority fills s.prio for this attempt according to the
-// configured priority kind. Shared by the cold and warm attempt drivers.
-func (s *state) assignPriority() error {
-	p := s.p
 	switch p.opts.Priority {
 	case PriorityHeightR:
 		h, err := p.heightR(s.ii)
 		if err != nil {
-			return err
+			return attemptInfeasible, err
 		}
 		s.prio = h
 	case PriorityDepth:
@@ -295,7 +257,7 @@ func (s *state) assignPriority() error {
 	case PriorityRecFirst:
 		h, err := p.heightR(s.ii)
 		if err != nil {
-			return err
+			return attemptInfeasible, err
 		}
 		s.prio = h
 		// Lift every operation on a non-trivial SCC above all others.
@@ -311,15 +273,19 @@ func (s *state) assignPriority() error {
 			}
 		}
 	default:
-		return fmt.Errorf("core: unknown priority kind %v", p.opts.Priority)
+		return attemptInfeasible, fmt.Errorf("core: unknown priority kind %v", p.opts.Priority)
 	}
-	return nil
-}
 
-// drive is the budgeted pick/place/displace loop of Figure 3, run after
-// START (and, on warm attempts, the seeded operations) are in place.
-func (s *state) drive(budget int) (attemptOutcome, error) {
-	p := s.p
+	stepsAtEntry := p.counters.SchedSteps
+
+	// The ready heap must see the final priority vector; START's entry
+	// goes stale when it is placed directly below and is skipped later.
+	s.readyInit()
+
+	// Schedule START at time 0.
+	s.scheduleAt(p.loop.Start(), 0, 0)
+	budget--
+
 	for steps := 0; s.unscheduled > 0 && budget > 0; steps++ {
 		// Cancellation check, amortized over scheduling steps.
 		if steps&ctxCheckMask == 0 {
@@ -357,6 +323,7 @@ func (s *state) drive(budget int) (attemptOutcome, error) {
 	if s.unscheduled > 0 {
 		return attemptBudgetExhausted, nil
 	}
+	p.counters.SchedStepsFinal += p.counters.SchedSteps - stepsAtEntry
 	return attemptScheduled, nil
 }
 
@@ -393,15 +360,6 @@ func (s *state) altSelfConsistent(op, ai int) bool {
 		s.selfOK[idx] = 2
 	}
 	return ok
-}
-
-// altFits reports whether alternative ai of op fits the MRT at time t
-// (t >= 0), via the compiled mask when available.
-func (s *state) altFits(op, t, ai int) bool {
-	if s.comp != nil {
-		return s.mrt.fitsMask(t%s.ii, &s.comp.Alts(s.p.opOrd[op])[ai])
-	}
-	return s.mrt.fits(t, s.p.opcode[op].Alternatives[ai].Table)
 }
 
 // highestPriorityOperation returns the unscheduled operation with the

@@ -32,7 +32,7 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
+func getScratch() *scratch   { return scratchPool.Get().(*scratch) }
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // resetInts returns buf resized to n with every element set to v,
@@ -95,7 +95,7 @@ func (sc *scratch) newState(p *problem, ii int) *state {
 	// before the speculative II race forks, so this call is read-only in
 	// candidate goroutines.
 	p.opcodeOrder()
-	if p.opts.ScanMRT {
+	if p.opts.scanMRT {
 		s.comp = nil
 		s.selfOK = resetInt8s(s.selfOK, int(p.altOff[n]), 0)
 	} else {

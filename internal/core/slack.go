@@ -27,7 +27,7 @@ func ModuloScheduleSlack(l *ir.Loop, m *machine.Machine, opts Options) (*Schedul
 // ModuloScheduleSlackContext is ModuloScheduleSlack with cancellation,
 // with the same ctx.Err() checkpoints as ModuloScheduleContext.
 func ModuloScheduleSlackContext(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Options) (*Schedule, error) {
-	return scheduleLoop(ctx, l, m, opts, AlgoSlack, nil)
+	return scheduleLoop(ctx, l, m, opts, AlgoSlack)
 }
 
 // slackSchedule runs one II attempt of the slack algorithm.

@@ -21,13 +21,8 @@ import (
 // matter how many loops stream through — and it carries only fields
 // that are deterministic functions of the corpus content: quality
 // numbers (II, SL, bounds, execution-time metric) and the final-attempt
-// step count, which the warm-start contract leaves bit-identical to a
-// cold compile. Total-effort counters (II attempts, all-attempt steps,
-// warm counters) are deliberately excluded: with a warm cache they
-// depend on which neighbor each miss saw, which under concurrency
-// depends on completion order. What remains is byte-identical for any
-// worker count and any warm/cold cache configuration — the streaming
-// determinism test pins this.
+// step count. The report is byte-identical for any worker count, with or
+// without a compile cache — the streaming determinism test pins this.
 type StreamReport struct {
 	Machine     string
 	BudgetRatio float64
@@ -84,8 +79,7 @@ func (r *StreamReport) merge(p *StreamReport) {
 // order afterwards, so the report is byte-identical for any worker
 // count. Within a shard, records stream through one at a time: peak
 // memory is one loop (plus the optional cache) per worker, not the
-// corpus. A non-nil cache memoizes compiles across duplicate structures
-// and, if its warm-start index is enabled, warm-starts near misses.
+// corpus. A non-nil cache memoizes compiles across duplicate structures.
 func RunCorpusStream(ctx context.Context, paths []string, m *machine.Machine, budgetRatio float64, workers int, cache *schedcache.Cache) (*StreamReport, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("experiments: no corpus shards")

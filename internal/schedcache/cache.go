@@ -10,11 +10,10 @@
 //   - Keys are structural, not pointer-based. A machine.Clone() and its
 //     original hit the same entries (Fingerprint identity); a re-parsed
 //     loop hits the entry of its first parse (looplang.Print identity).
-//     Options participate in the key EXCEPT the result-identical knobs
-//     SearchWorkers and ScanMRT: the speculative II race is bit-identical
-//     to the sequential search by the core determinism suite, and the
-//     compiled-mask MRT is bit-identical to the reference scan by the
-//     core differential battery, so neither may fragment the cache.
+//     Options participate in the key EXCEPT SearchWorkers: the
+//     speculative II race is bit-identical to the sequential search by
+//     the core determinism suite, so worker count must not fragment the
+//     cache.
 //   - Hits return deep copies rebound to the caller's loop and machine
 //     pointers. A caller mutating a returned schedule cannot poison
 //     later hits.
@@ -60,19 +59,11 @@ type Stats struct {
 // CompileFunc produces the value to cache on a miss.
 type CompileFunc func() (*core.Schedule, *core.Degradation, error)
 
-// WarmCompileFunc produces the value to cache on a miss, given the warm
-// seed derived from the structural near-miss index (nil when warm
-// starting is disabled or no neighbor qualified). See DoWarm.
-type WarmCompileFunc func(seed *core.WarmSeed) (*core.Schedule, *core.Degradation, error)
-
 // entry is one cached compilation, stored detached from every caller.
-// sk is the structural sketch for the near-miss index; nil when warm
-// starting was disabled at insert time.
 type entry struct {
 	key   string
 	sched *core.Schedule
 	deg   *core.Degradation
-	sk    *sketch
 }
 
 // flight is one in-progress compilation that latecomers can join.
@@ -101,9 +92,6 @@ type Cache struct {
 	// disk is the optional persistent tier (AttachDisk); consulted on a
 	// memory miss before compiling, written through after one.
 	disk *diskcache.Store
-	// warm is the structural near-miss index (near.go), populated only
-	// after EnableWarmStart.
-	warm warmIndex
 }
 
 // New returns a cache holding at most capacity entries (DefaultCapacity
@@ -136,10 +124,9 @@ func (c *Cache) Len() int {
 }
 
 // Key derives the canonical cache key: a hash over the machine
-// fingerprint, the options (minus SearchWorkers and ScanMRT — see the
-// package comment), and the loop's structural rendering. Cache.Do
-// computes the same key with the machine fingerprint memoized; keep the
-// two in sync.
+// fingerprint, the options (minus SearchWorkers — see the package
+// comment), and the loop's structural rendering. Cache.Do computes the
+// same key with the machine fingerprint memoized; keep the two in sync.
 func Key(l *ir.Loop, m *machine.Machine, opts core.Options) string {
 	return keyWith(sha256.Sum256([]byte(m.Fingerprint())), l, opts)
 }
@@ -154,45 +141,12 @@ func KeyWithFingerprint(fingerprint [sha256.Size]byte, l *ir.Loop, opts core.Opt
 
 func keyWith(fingerprint [sha256.Size]byte, l *ir.Loop, opts core.Options) string {
 	h := sha256.New()
-	writeKeyContext(h, fingerprint, opts)
-	writeCanonicalLoop(h, l)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeKeyContext streams the key's (options, machine) prefix. keyWith
-// and keyAndSketch must hash identical bytes; this is the shared half.
-func writeKeyContext(w io.Writer, fingerprint [sha256.Size]byte, opts core.Options) {
-	fmt.Fprintf(w, "options budget=%g delays=%d maxii=%d prio=%d restart=%t late=%t\n",
+	fmt.Fprintf(h, "options budget=%g delays=%d maxii=%d prio=%d restart=%t late=%t\n",
 		opts.BudgetRatio, int(opts.DelayModel), opts.MaxII, int(opts.Priority),
 		opts.RestartOnFailure, opts.PlaceLate)
-	w.Write(fingerprint[:])
-}
-
-// keyAndSketch computes the exact cache key and the near-miss sketch
-// from ONE walk of the canonical rendering: each line feeds the key's
-// sha256 and the sketch's per-line FNV in the same pass. The walk
-// dominates both costs, so a warm-enabled miss no longer renders the
-// loop twice.
-func keyAndSketch(fingerprint [sha256.Size]byte, opts core.Options, l *ir.Loop) (string, *sketch) {
-	h := sha256.New()
-	writeKeyContext(h, fingerprint, opts)
-	sk := &sketch{
-		ctx:   ctxHash(fingerprint, opts),
-		n:     l.NumOps(),
-		ops:   make([]uint64, 0, l.NumOps()),
-		opIdx: make([]int32, 0, l.NumOps()),
-	}
-	walkCanonicalLoop(l,
-		func(op int, line []byte) {
-			h.Write(line)
-			sk.ops = append(sk.ops, fnvLine(line))
-			sk.opIdx = append(sk.opIdx, int32(op))
-		},
-		func(line []byte) {
-			h.Write(line)
-			sk.edges = append(sk.edges, fnvLine(line))
-		})
-	return hex.EncodeToString(h.Sum(nil)), sk
+	h.Write(fingerprint[:])
+	writeCanonicalLoop(h, l)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeCanonicalLoop streams the scheduling-relevant structure of l:
@@ -206,20 +160,8 @@ func keyAndSketch(fingerprint [sha256.Size]byte, opts core.Options, l *ir.Loop) 
 // hashing the looplang rendering minus its header, at a fraction of the
 // cost (no fmt, no per-call maps; Key is on every Do's hot path).
 func writeCanonicalLoop(w io.Writer, l *ir.Loop) {
-	walkCanonicalLoop(l,
-		func(_ int, line []byte) { w.Write(line) },
-		func(line []byte) { w.Write(line) })
-}
-
-// walkCanonicalLoop produces the canonical rendering line by line: one
-// call per real operation (with its op index) followed by one call per
-// explicit edge, in the exact byte order writeCanonicalLoop hashes. The
-// near-miss index (near.go) hashes the same lines individually, so its
-// structural distance is measured over precisely the content that
-// defines cache keys.
-func walkCanonicalLoop(l *ir.Loop, opLine func(op int, line []byte), edgeLine func(line []byte)) {
 	buf := make([]byte, 0, 128)
-	for oi, op := range l.Ops {
+	for _, op := range l.Ops {
 		if op.IsPseudo() {
 			continue
 		}
@@ -243,7 +185,7 @@ func walkCanonicalLoop(l *ir.Loop, opLine func(op int, line []byte), edgeLine fu
 		buf = append(buf, ' ', '#')
 		buf = strconv.AppendInt(buf, op.Imm, 10)
 		buf = append(buf, '\n')
-		opLine(oi, buf)
+		w.Write(buf)
 	}
 	// The explicit edges may appear in any order in l.Edges (a looplang
 	// round-trip re-sorts them); canonicalize before hashing.
@@ -289,7 +231,7 @@ func walkCanonicalLoop(l *ir.Loop, opLine func(op int, line []byte), edgeLine fu
 			buf = strconv.AppendInt(buf, int64(*e.DelayOverride), 10)
 		}
 		buf = append(buf, '\n')
-		edgeLine(buf)
+		w.Write(buf)
 	}
 }
 
@@ -298,35 +240,7 @@ func walkCanonicalLoop(l *ir.Loop, opLine func(op int, line []byte), edgeLine fu
 // rest wait and share the result. The returned schedule is the caller's
 // own deep copy, rebound to the caller's l and m pointers.
 func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile CompileFunc) (*core.Schedule, *core.Degradation, error) {
-	return c.do(l, m, opts, func(*core.WarmSeed) (*core.Schedule, *core.Degradation, error) {
-		return compile()
-	}, false)
-}
-
-// DoWarm is Do for seed-aware compilers: on a miss with warm starting
-// enabled, the near-miss index is consulted and the nearest structural
-// neighbor's schedule (bounded edit distance, see EnableWarmStart) is
-// passed to compile as a *core.WarmSeed. The compiled result must be
-// bit-identical to a cold compile — core's warm search guarantees this;
-// only the Stats effort counters differ — so cached entries stay
-// interchangeable with cold ones. With warm starting disabled, DoWarm
-// behaves exactly like Do (compile receives a nil seed).
-func (c *Cache) DoWarm(l *ir.Loop, m *machine.Machine, opts core.Options, compile WarmCompileFunc) (*core.Schedule, *core.Degradation, error) {
-	return c.do(l, m, opts, compile, true)
-}
-
-func (c *Cache) do(l *ir.Loop, m *machine.Machine, opts core.Options, compile WarmCompileFunc, wantSeed bool) (*core.Schedule, *core.Degradation, error) {
-	fp := c.fingerprint(m)
-	// With the warm index on, the sketch rides along on the key's own
-	// canonical walk (a hit simply drops it); with it off, the key walk
-	// stays sketch-free.
-	var sk *sketch
-	var key string
-	if c.warmEnabled() {
-		key, sk = keyAndSketch(fp, opts, l)
-	} else {
-		key = keyWith(fp, l, opts)
-	}
+	key := keyWith(c.fingerprint(m), l, opts)
 
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -356,17 +270,10 @@ func (c *Cache) do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Wa
 	sched, deg, fromDisk := c.diskGet(key, l, m, opts)
 	var err error
 	if !fromDisk {
-		var seed *core.WarmSeed
-		if sk != nil && wantSeed {
-			seed = c.nearSeed(sk, key)
-		}
 		c.mu.Lock()
 		c.stats.Misses++
 		c.mu.Unlock()
-		sched, deg, err = compile(seed)
-		if err == nil && seed != nil {
-			c.recordWarm(&sched.Stats)
-		}
+		sched, deg, err = compile()
 	}
 	if err == nil {
 		// The master copy is detached from the result handed to the miss
@@ -385,19 +292,11 @@ func (c *Cache) do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Wa
 	c.mu.Lock()
 	delete(c.flights, key)
 	if err == nil {
-		el := c.lru.PushFront(&entry{key: key, sched: f.sched, deg: f.deg, sk: sk})
-		c.entries[key] = el
-		if sk != nil && c.warm.enabled {
-			c.indexEntry(el)
-		}
+		c.entries[key] = c.lru.PushFront(&entry{key: key, sched: f.sched, deg: f.deg})
 		for c.lru.Len() > c.cap {
 			oldest := c.lru.Back()
 			c.lru.Remove(oldest)
-			oent := oldest.Value.(*entry)
-			delete(c.entries, oent.key)
-			if oent.sk != nil {
-				c.deindexEntry(oldest)
-			}
+			delete(c.entries, oldest.Value.(*entry).key)
 			c.stats.Evictions++
 		}
 	}

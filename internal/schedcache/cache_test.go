@@ -122,11 +122,6 @@ func TestCacheKeyStructuralIdentity(t *testing.T) {
 	if Key(l, m, opts) != Key(l, m, wopts) {
 		t.Error("SearchWorkers fragments the cache key; the race is bit-identical and must not")
 	}
-	sopts := opts
-	sopts.ScanMRT = true
-	if Key(l, m, opts) != Key(l, m, sopts) {
-		t.Error("ScanMRT fragments the cache key; the scan path is bit-identical and must not")
-	}
 
 	bopts := opts
 	bopts.BudgetRatio = 6

@@ -13,8 +13,10 @@ import (
 
 // blobVersion gates the persisted schedule format. Bump it whenever the
 // codec changes incompatibly: old entries then decode-fail, are marked
-// corrupt, and recompile — never misdecode.
-const blobVersion = 1
+// corrupt, and recompile — never misdecode. Also bump it when what a
+// compile stores changes: version 1 entries may carry warm-start effort
+// counters, which responses would replay, so version 2 retires them.
+const blobVersion = 2
 
 // blob is the persisted form of one cached compilation. Only the fields
 // a schedule needs beyond the caller's own (loop, machine, options)

@@ -1,6 +1,8 @@
 package schedcache
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -106,7 +108,7 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := openDisk(t, dir)
-	if err := fresh.Put(key, []byte(`{"V":1,"Times":[1,2],"Alts":[1]}`)); err != nil {
+	if err := fresh.Put(key, []byte(fmt.Sprintf(`{"V":%d,"Times":[1,2],"Alts":[1]}`, blobVersion))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -165,6 +167,52 @@ func TestDiskVersionDrift(t *testing.T) {
 	}
 	if !compiled || d.Stats().Corrupt != 1 {
 		t.Fatalf("version-drifted entry not evicted (compiled=%v, stats=%+v)", compiled, d.Stats())
+	}
+}
+
+// TestDiskV1EntryRecompiles: a well-formed version 1 entry — a legal
+// schedule for the loop, written before the format moved to version 2 —
+// is marked corrupt and recompiled rather than served with its stored
+// effort counters.
+func TestDiskV1EntryRecompiles(t *testing.T) {
+	dir := t.TempDir()
+	m := machine.Cydra5()
+	l := testLoop(t, m, "v1", 2)
+	opts := core.DefaultOptions()
+
+	s, _, err := compileDirect(l, m, opts)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := s.Stats
+	stale.SchedSteps += 1000 // what a replayed v1 entry would report
+	data, err := json.Marshal(&blob{
+		V: 1, II: s.II, MII: s.MII, ResMII: s.ResMII, Length: s.Length,
+		Times: s.Times, Alts: s.Alts, Delays: s.Delays, Stats: stale,
+		DegStage: core.StageIterative, HasDegradation: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := openDisk(t, dir)
+	if err := d.Put(Key(l, m, opts), data); err != nil {
+		t.Fatal(err)
+	}
+	c := New(8)
+	c.AttachDisk(d)
+	compiled := false
+	got, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+		compiled = true
+		return compileDirect(l, m, opts)()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !compiled || d.Stats().Corrupt != 1 {
+		t.Fatalf("v1 entry served instead of recompiled (compiled=%v, stats=%+v)", compiled, d.Stats())
+	}
+	if got.Stats != s.Stats {
+		t.Fatalf("served counters %+v, want a fresh compile's %+v", got.Stats, s.Stats)
 	}
 }
 

@@ -132,9 +132,6 @@ type gauges struct {
 	// its series are emitted only then, so a memory-only daemon's
 	// exposition is unchanged.
 	diskStats *diskcache.Stats
-	// warmStats is non-nil when near-miss warm starting is enabled;
-	// like diskStats, its series appear only then.
-	warmStats *schedcache.WarmStats
 	// jobsCounters/jobsJournal are non-nil when the async jobs API is
 	// enabled; the mschedd_jobs_* family appears only then. Because they
 	// ride the gauges value, the final-metrics-on-drain dump carries them
@@ -215,21 +212,6 @@ func (m *metrics) writePrometheus(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "mschedd_diskcache_quarantined_total %d\n", d.Quarantined)
 		fmt.Fprint(w, "# HELP mschedd_diskcache_entries Entries on disk now.\n# TYPE mschedd_diskcache_entries gauge\n")
 		fmt.Fprintf(w, "mschedd_diskcache_entries %d\n", d.Entries)
-	}
-
-	if ws := g.warmStats; ws != nil {
-		fmt.Fprint(w, "# HELP mschedd_warm_near_hits_total Cache misses seeded from a structural near-neighbor's schedule.\n# TYPE mschedd_warm_near_hits_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_near_hits_total %d\n", ws.NearHits)
-		fmt.Fprint(w, "# HELP mschedd_warm_near_misses_total Cache misses with no qualifying near-neighbor (compiled cold).\n# TYPE mschedd_warm_near_misses_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_near_misses_total %d\n", ws.NearMisses)
-		fmt.Fprint(w, "# HELP mschedd_warm_starts_total Warm II searches actually started from a seed.\n# TYPE mschedd_warm_starts_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_starts_total %d\n", ws.WarmStarts)
-		fmt.Fprint(w, "# HELP mschedd_warm_seeded_ops_total Operations placed at a neighbor-suggested slot during warm probes.\n# TYPE mschedd_warm_seeded_ops_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_seeded_ops_total %d\n", ws.SeededOps)
-		fmt.Fprint(w, "# HELP mschedd_warm_skipped_ii_total Candidate-II attempts the warm search proved unnecessary.\n# TYPE mschedd_warm_skipped_ii_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_skipped_ii_total %d\n", ws.SkippedII)
-		fmt.Fprint(w, "# HELP mschedd_warm_fallbacks_total Warm searches that fell back to the full cold II ladder.\n# TYPE mschedd_warm_fallbacks_total counter\n")
-		fmt.Fprintf(w, "mschedd_warm_fallbacks_total %d\n", ws.Fallbacks)
 	}
 
 	if jc := g.jobsCounters; jc != nil {

@@ -46,14 +46,6 @@ type Config struct {
 	MaxBatch int
 	// MaxBodyBytes bounds a request body (8 MiB when 0).
 	MaxBodyBytes int64
-	// WarmStart enables near-miss warm starting on the compile cache:
-	// a miss whose structure is within a small edit distance of a cached
-	// schedule seeds its II search from that neighbor (default edit
-	// bound). Schedules are bit-identical either way; the response's
-	// SchedSteps effort counter reflects the cheaper warm search, so
-	// deployments that byte-compare responses across replicas must
-	// enable it fleet-wide or not at all.
-	WarmStart bool
 }
 
 func (c *Config) applyDefaults() {
@@ -107,13 +99,9 @@ type Server struct {
 // New builds a Server from cfg (zero value is fully usable).
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
-	cache := schedcache.New(cfg.CacheCapacity)
-	if cfg.WarmStart {
-		cache.EnableWarmStart(0)
-	}
 	return &Server{
 		cfg:     cfg,
-		cache:   cache,
+		cache:   schedcache.New(cfg.CacheCapacity),
 		metrics: newMetrics(),
 		adm:     newAdmission(cfg.MaxInFlight, cfg.QueueDepth, cfg.QueueWait),
 		machines: map[string]*machine.Machine{
@@ -123,10 +111,6 @@ func New(cfg Config) *Server {
 		},
 	}
 }
-
-// WarmStats exposes the near-miss warm-start counters (zero when
-// WarmStart is off).
-func (s *Server) WarmStats() schedcache.WarmStats { return s.cache.WarmStats() }
 
 // CacheStats exposes the compile cache counters (the smoke test
 // reconciles them against /metrics).
@@ -217,10 +201,6 @@ func (s *Server) gauges() gauges {
 	if s.disk != nil {
 		ds := s.disk.Stats()
 		g.diskStats = &ds
-	}
-	if s.cache.WarmEnabled() {
-		ws := s.cache.WarmStats()
-		g.warmStats = &ws
 	}
 	if s.jobs != nil {
 		jc := s.jobs.Counters()

@@ -244,20 +244,14 @@ func NewCompileCache(capacity int) *CompileCache { return schedcache.New(capacit
 // loop returns a deep copy of the cached schedule instead of re-running
 // the II search. A nil cache is the uncached call.
 //
-// When the cache has warm starting enabled (EnableWarmStart), an exact
-// miss additionally consults the structural near-miss index and seeds
-// the iterative scheduler from the nearest cached neighbor's schedule.
-// The result is bit-identical to a cold compile either way — warm
-// starting changes the Stats effort counters only.
-//
 // The context is the first parameter, per Go convention. (Earlier
 // releases took the cache first; that argument order is gone.)
 func CompileBestEffortCached(ctx context.Context, cache *CompileCache, l *Loop, m *Machine, opts Options) (*Schedule, *Degradation, error) {
 	if cache == nil {
 		return core.ModuloScheduleBestEffort(ctx, l, m, opts)
 	}
-	return cache.DoWarm(l, m, opts, func(seed *core.WarmSeed) (*Schedule, *Degradation, error) {
-		return core.ModuloScheduleBestEffortWarm(ctx, l, m, opts, seed)
+	return cache.Do(l, m, opts, func() (*Schedule, *Degradation, error) {
+		return core.ModuloScheduleBestEffort(ctx, l, m, opts)
 	})
 }
 
