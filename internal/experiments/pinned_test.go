@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
+	"modsched/internal/codegen"
 	"modsched/internal/core"
 	"modsched/internal/kernels"
 	"modsched/internal/machine"
@@ -84,6 +87,36 @@ func TestPinnedQualityNumbers(t *testing.T) {
 		}
 		if got := pts[1].Inefficiency; got != 1.0573248407643312 {
 			t.Errorf("steps/op at ratio 2 = %v, want 1.0573248407643312", got)
+		}
+	})
+
+	// kernels pins the generated kernel text of the whole paper corpus,
+	// so any change to the rotating-register packer that moves a single
+	// base or grows a single file shows up here.
+	t.Run("kernels", func(t *testing.T) {
+		corpus, err := Corpus(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		sumSize := 0
+		for _, l := range corpus {
+			s, _, err := core.ModuloScheduleBestEffort(ctx, l, m, core.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", l.Name, err)
+			}
+			k, err := codegen.GenerateKernel(s)
+			if err != nil {
+				t.Fatalf("%s: %v", l.Name, err)
+			}
+			h.Write([]byte(k.String()))
+			sumSize += k.Alloc.Size
+		}
+		if got, want := hex.EncodeToString(h.Sum(nil)), "d041e1622369897f34f413e87b2bc78c8c2bc3149d028ae8a9e60d350dbfc717"; got != want {
+			t.Errorf("kernel text SHA-256 = %s, want %s", got, want)
+		}
+		if sumSize != 59546 {
+			t.Errorf("sum(Alloc.Size) = %d, want 59546", sumSize)
 		}
 	})
 }

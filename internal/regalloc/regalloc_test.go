@@ -68,6 +68,12 @@ func TestMalformedWandRejected(t *testing.T) {
 	if _, err := AllocateRotating([]Wand{{Reg: 1, Stage: 2, Life: 0, Virtuals: []Virtual{{V: 3, LastRead: 4}}}}); err == nil {
 		t.Error("virtual at/after stage accepted")
 	}
+	if _, err := AllocateRotating([]Wand{{Reg: 1, Stage: 2, Virtuals: []Virtual{{V: 0, LastRead: 1}, {V: 0, LastRead: 2}}}}); err == nil {
+		t.Error("two virtuals at one pass accepted")
+	}
+	if _, err := AllocateRotating([]Wand{{Reg: 1, Stage: 2, Virtuals: []Virtual{{V: 1, LastRead: 1}, {V: 0, LastRead: 2}}}}); err == nil {
+		t.Error("virtuals out of V order accepted")
+	}
 }
 
 func TestPhysRotation(t *testing.T) {
@@ -149,5 +155,29 @@ func TestAllocationBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A bad allocation with two collisions must report the same one on every
+// call.
+func TestVerifyReportIsDeterministic(t *testing.T) {
+	a := &Rotating{
+		Base: map[ir.Reg]int{1: 0, 2: 0, 3: 2, 4: 2},
+		Size: 4,
+		wands: []Wand{
+			{Reg: 1, Stage: 0, Life: 1},
+			{Reg: 2, Stage: 0, Life: 1},
+			{Reg: 3, Stage: 0, Life: 1},
+			{Reg: 4, Stage: 0, Life: 1},
+		},
+	}
+	first := a.Verify()
+	if first == nil {
+		t.Fatal("Verify accepted two wands sharing a base")
+	}
+	for i := 0; i < 20; i++ {
+		if err := a.Verify(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d reported %v, first call %v", i, err, first)
+		}
 	}
 }
