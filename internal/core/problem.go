@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"modsched/internal/graph"
 	"modsched/internal/ir"
 	"modsched/internal/machine"
 	"modsched/internal/mii"
@@ -149,15 +148,16 @@ type problem struct {
 	// scheduling entry points (tests, the acyclic fallback).
 	scratch *scratch
 
+	// hasSelf[i] reports whether op i has a reflexive dependence edge.
+	hasSelf []bool
+
 	// Lazily computed caches, II-independent: the dependence graph's SCC
 	// condensation (the graph topology never changes across II attempts,
-	// only the edge weights Delay - II*Distance do), self-edge flags, the
-	// static priority vectors, the all-ops node list, and the cross-II
-	// MinDist coefficient profile. All of them must be forced via prewarm
-	// before candidate goroutines fork (parallel.go) so the race shares
-	// them read-only.
+	// only the edge weights Delay - II*Distance do), the static priority
+	// vectors, the all-ops node list, and the cross-II MinDist coefficient
+	// profile. All of them must be forced via prewarm before candidate
+	// goroutines fork (parallel.go) so the race shares them read-only.
 	comps     [][]int
-	hasSelf   []bool
 	fifoPrio  []int
 	depthPrio []int
 	nodesAll  []int
@@ -219,24 +219,12 @@ func (p *problem) opcodeOrder() []int {
 
 // condensation returns the SCCs of the dependence graph in reverse
 // topological order, computed once per problem and shared by every II
-// attempt's HeightR pass (and the recurrence-first priority).
+// attempt's HeightR pass (and the recurrence-first priority). The II
+// search seeds it with the list mii.ComputeScratch already built; other
+// callers get the same list from mii.SCCs.
 func (p *problem) condensation() [][]int {
 	if p.comps == nil {
-		deg := make([]int, p.loop.NumOps())
-		for _, e := range p.loop.Edges {
-			deg[e.From]++
-		}
-		g := graph.NewDegreed(p.loop.NumOps(), deg)
-		for _, e := range p.loop.Edges {
-			g.AddEdge(e.From, e.To)
-		}
-		p.comps = g.SCCs()
-		p.hasSelf = make([]bool, p.loop.NumOps())
-		for _, e := range p.loop.Edges {
-			if e.From == e.To {
-				p.hasSelf[e.From] = true
-			}
-		}
+		p.comps = mii.SCCs(p.loop)
 	}
 	return p.comps
 }
@@ -298,6 +286,7 @@ func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Option
 		opcode:   make([]*machine.Opcode, l.NumOps()),
 		succ:     make([][]int, l.NumOps()),
 		pred:     make([][]int, l.NumOps()),
+		hasSelf:  make([]bool, l.NumOps()),
 		counters: c,
 	}
 	for i, op := range l.Ops {
@@ -326,6 +315,9 @@ func newProblem(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Option
 		for ei, e := range l.Edges {
 			p.succ[e.From] = append(p.succ[e.From], ei)
 			p.pred[e.To] = append(p.pred[e.To], ei)
+			if e.From == e.To {
+				p.hasSelf[e.From] = true
+			}
 		}
 	}
 	return p, nil

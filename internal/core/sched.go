@@ -76,6 +76,7 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 	if err != nil {
 		return nil, err
 	}
+	p.comps = bounds.SCCs
 	maxII := opts.MaxII
 	if maxII <= 0 {
 		maxII = safeMaxII(p)

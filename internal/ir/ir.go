@@ -214,6 +214,11 @@ func (l *Loop) Validate(m *machine.Machine) error {
 		if e.Distance < 0 {
 			return fmt.Errorf("loop %s: edge %d has negative distance %d", l.Name, ei, e.Distance)
 		}
+		// START precedes and STOP succeeds everything, so neither can lie
+		// on a recurrence circuit.
+		if e.To == 0 || e.From == len(l.Ops)-1 {
+			return fmt.Errorf("loop %s: edge %d (%d,%d) enters START or leaves STOP", l.Name, ei, e.From, e.To)
+		}
 	}
 	if l.EntryFreq < 0 || l.LoopFreq < l.EntryFreq {
 		return fmt.Errorf("loop %s: inconsistent profile (entry %d, loop %d)", l.Name, l.EntryFreq, l.LoopFreq)

@@ -257,6 +257,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("negative distance accepted")
 	}
 
+	for _, e := range []Edge{{From: 1, To: 0, Distance: 1}, {From: l.Stop(), To: 1, Distance: 1}} {
+		bad = l.Clone()
+		bad.Edges = append(bad.Edges, e)
+		if err := bad.Validate(m); err == nil {
+			t.Errorf("edge %d -> %d into START or out of STOP accepted", e.From, e.To)
+		}
+	}
+
 	bad = l.Clone()
 	bad.EntryFreq, bad.LoopFreq = 10, 5
 	if err := bad.Validate(m); err == nil {

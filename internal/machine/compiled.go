@@ -2,6 +2,7 @@ package machine
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -132,12 +133,16 @@ var (
 	compiledClock uint64 // monotone use counter, advanced under compiledMu
 )
 
-// compiledCacheCap bounds the global memo. A corpus run touches one
-// machine at a handful of IIs; the bound keeps pathological II ladders
-// from pinning memory. At capacity the least-recently-used entry is
-// evicted — never the whole map: with a zoo of machines × an II range
-// in one process, dropping everything would wipe the hot machine's
-// whole II ladder mid-search and recompile it per insertion.
+// compiledCacheCap bounds the global memo so pathological II ladders
+// cannot pin memory. It is smaller than the working set of the common
+// runs: one pass over the 1327-loop Cydra 5 corpus touches 119
+// (machine, II) keys, and one pass of the bench's schedule-large workload
+// touches 135 keys over 2114 II attempts and compiles them about 194
+// times, because keys are evicted before they come back. At capacity the
+// least-recently-used entry is evicted — never the whole map: with a zoo
+// of machines × an II range in one process, dropping everything would
+// wipe the hot machine's whole II ladder mid-search and recompile it per
+// insertion.
 const compiledCacheCap = 64
 
 // Compiled returns the compiled placement masks for m at ii, memoized
@@ -188,15 +193,31 @@ func evictOldestCompiled() {
 	}
 }
 
+// compileMachine folds every opcode alternative at ii. Alternatives whose
+// reservation tables are equal use for use (machlang builds a separate
+// Uses slice per alternative, so equal content, not the slice pointer, is
+// the key) compile once and share one family's backing arrays.
 func compileMachine(m *Machine, ii int) *Compiled {
 	nres := len(m.Resources)
 	c := &Compiled{II: ii, NRes: nres, Words: (ii*nres + 63) / 64}
 	ops := m.Opcodes()
 	c.alts = make([][]CompiledAlt, len(ops))
+	byTable := make(map[string]CompiledAlt)
+	var key []byte
 	for i, op := range ops {
 		fams := make([]CompiledAlt, len(op.Alternatives))
 		for ai, alt := range op.Alternatives {
-			fams[ai] = CompileTable(alt.Table, ii, nres)
+			key = key[:0]
+			for _, u := range alt.Table.Uses {
+				key = binary.AppendVarint(key, int64(u.Resource))
+				key = binary.AppendVarint(key, int64(u.Time))
+			}
+			ca, ok := byTable[string(key)]
+			if !ok {
+				ca = CompileTable(alt.Table, ii, nres)
+				byTable[string(key)] = ca
+			}
+			fams[ai] = ca
 		}
 		c.alts[i] = fams
 	}

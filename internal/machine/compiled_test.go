@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -188,5 +189,82 @@ func TestCompiledCacheBounded(t *testing.T) {
 	compiledMu.Unlock()
 	if n > compiledCacheCap {
 		t.Fatalf("compiled cache holds %d entries, cap is %d", n, compiledCacheCap)
+	}
+}
+
+// zooMachine is a machine with its number of distinct reservation tables
+// (distinct Uses sequences over all opcode alternatives).
+type zooMachine struct {
+	name     string
+	m        *Machine
+	distinct int
+}
+
+// zooMachines returns Cydra5() and the zoo's .mach files.
+func zooMachines(t testing.TB) []zooMachine {
+	zoo := []zooMachine{{name: "Cydra5()", m: Cydra5(), distinct: 14}}
+	for _, z := range []zooMachine{
+		{name: "cydra5", distinct: 14},
+		{name: "cgra4x4", distinct: 70},
+		{name: "superscalar4", distinct: 37},
+		{name: "simd64", distinct: 9},
+		{name: "single_issue", distinct: 2},
+	} {
+		m, err := LoadMachineFile("../../testdata/machines/" + z.name + ".mach")
+		if err != nil {
+			t.Fatal(err)
+		}
+		z.m = m
+		zoo = append(zoo, z)
+	}
+	return zoo
+}
+
+// TestCompiledSharesEqualTables: every (opcode, alternative) family of
+// m.Compiled(ii) equals a fresh CompileTable of its table, and
+// alternatives with equal tables share one family, so there are exactly
+// as many distinct families as distinct tables.
+func TestCompiledSharesEqualTables(t *testing.T) {
+	for _, z := range zooMachines(t) {
+		for _, ii := range []int{1, 2, 7, 64, 65} {
+			c := z.m.Compiled(ii)
+			nres := z.m.NumResources()
+			families := map[*int32]bool{}
+			tables := map[string]bool{}
+			for i, op := range z.m.Opcodes() {
+				for ai, alt := range op.Alternatives {
+					got := c.Alts(i)[ai]
+					if want := CompileTable(alt.Table, ii, nres); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s II=%d: %s/%s family differs from CompileTable", z.name, ii, op.Name, alt.Name)
+					}
+					families[&got.Off[0]] = true
+					tables[fmt.Sprint(alt.Table.Uses)] = true
+				}
+			}
+			if len(tables) != z.distinct {
+				t.Fatalf("%s: %d distinct tables, want %d", z.name, len(tables), z.distinct)
+			}
+			if len(families) != len(tables) {
+				t.Errorf("%s II=%d: %d distinct compiled families for %d distinct tables", z.name, ii, len(families), len(tables))
+			}
+		}
+	}
+}
+
+// compiledSink keeps benchmarked compiles live.
+var compiledSink *Compiled
+
+// BenchmarkCompileMachine times one uncached compile of every opcode
+// alternative's rotation family (the work a memo miss costs).
+func BenchmarkCompileMachine(b *testing.B) {
+	for _, z := range zooMachines(b)[1:3] { // cydra5.mach, cgra4x4.mach
+		for _, ii := range []int{10, 30, 60} {
+			b.Run(fmt.Sprintf("%s/II=%d", z.name, ii), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					compiledSink = compileMachine(z.m, ii)
+				}
+			})
+		}
 	}
 }

@@ -3,7 +3,6 @@ package mii
 import (
 	"context"
 
-	"modsched/internal/graph"
 	"modsched/internal/ir"
 	"modsched/internal/machine"
 )
@@ -22,6 +21,12 @@ type Result struct {
 	// operations; NonTrivialSCCs lists those with more than one operation.
 	SCCSizes       []int
 	NonTrivialSCCs [][]int
+	// SCCs is the full condensation the recurrence search walked: every
+	// SCC of the dependence graph, pseudo-ops included, in the order SCCs
+	// returns them. The scheduler reuses it for HeightR instead of running
+	// Tarjan again. NonTrivialSCCs aliases its components; treat both as
+	// read-only.
+	SCCs [][]int
 }
 
 // Compute runs the Section 2 analysis: ResMII, then the per-SCC
@@ -45,7 +50,8 @@ func ComputeScratch(ctx context.Context, l *ir.Loop, m *machine.Machine, delays 
 	if err != nil {
 		return nil, err
 	}
-	miiVal, err := RecurrenceMIIScratch(ctx, l, delays, resMII, c, ws)
+	comps := SCCs(l)
+	miiVal, err := recurrenceMII(ctx, l, delays, comps, resMII, c, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +59,21 @@ func ComputeScratch(ctx context.Context, l *ir.Loop, m *machine.Machine, delays 
 		ResMII:    resMII,
 		MII:       miiVal,
 		AltChoice: choice,
+		SCCs:      comps,
 	}
-	res.SCCSizes, res.NonTrivialSCCs = realSCCs(l)
+	// START only precedes and STOP only succeeds (ir.Loop.Validate), so
+	// neither lies on a circuit: both are singletons of comps, and
+	// dropping them leaves exactly the SCCs of the real operations.
+	start, stop := l.Start(), l.Stop()
+	for _, comp := range comps {
+		if len(comp) == 1 && (comp[0] == start || comp[0] == stop) {
+			continue
+		}
+		res.SCCSizes = append(res.SCCSizes, len(comp))
+		if len(comp) > 1 {
+			res.NonTrivialSCCs = append(res.NonTrivialSCCs, comp)
+		}
+	}
 	return res, nil
 }
 
@@ -64,35 +83,4 @@ func ComputeScratch(ctx context.Context, l *ir.Loop, m *machine.Machine, delays 
 // ResMII).
 func ExactRecMII(l *ir.Loop, delays []int, c *Counters) (int, error) {
 	return RecurrenceMII(l, delays, 1, c)
-}
-
-// realSCCs computes SCC statistics over the real operations only
-// (pseudo-ops excluded, matching the paper's loop statistics).
-func realSCCs(l *ir.Loop) (sizes []int, nonTrivial [][]int) {
-	n := l.NumOps()
-	start, stop := l.Start(), l.Stop()
-	deg := make([]int, n)
-	for _, e := range l.Edges {
-		if e.From == start || e.To == stop || e.From == stop || e.To == start {
-			continue
-		}
-		deg[e.From]++
-	}
-	g := graph.NewDegreed(n, deg)
-	for _, e := range l.Edges {
-		if e.From == start || e.To == stop || e.From == stop || e.To == start {
-			continue
-		}
-		g.AddEdge(e.From, e.To)
-	}
-	for _, comp := range g.SCCs() {
-		if len(comp) == 1 && (comp[0] == start || comp[0] == stop) {
-			continue
-		}
-		sizes = append(sizes, len(comp))
-		if len(comp) > 1 {
-			nonTrivial = append(nonTrivial, comp)
-		}
-	}
-	return sizes, nonTrivial
 }

@@ -79,12 +79,13 @@ func (md *MinDist) ZeroDiagonal() bool {
 // The *MinDist returned by a Scratch aliases the scratch buffers: it is
 // valid until the next MinDist call on the same Scratch.
 type Scratch struct {
-	md MinDist
+	md   MinDist
+	self []int // per-op reflexive-edge bounds (selfEdgeBounds)
 }
 
 // Reset releases the scratch's buffers, returning it to its zero state.
 // Useful when a long-lived scratch last touched an unusually large loop.
-func (ws *Scratch) Reset() { ws.md = MinDist{} }
+func (ws *Scratch) Reset() { *ws = Scratch{} }
 
 // MinDist computes the matrix into the scratch's reusable buffers. See
 // ComputeMinDistContext for the semantics.

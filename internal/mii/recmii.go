@@ -23,31 +23,43 @@ func depGraph(l *ir.Loop) *graph.Graph {
 	return g
 }
 
-// selfEdgeRecMII returns the recurrence constraint implied by the
-// reflexive edges of a single operation, and an error if any zero-distance
-// self edge has positive delay (unschedulable at any II).
-func selfEdgeRecMII(l *ir.Loop, delays []int, op int) (int, error) {
-	rec := 0
+// SCCs returns the strongly connected components of the dependence graph
+// over all loop operations, pseudo-ops included, in reverse topological
+// order of the condensation (sinks first).
+func SCCs(l *ir.Loop) [][]int { return depGraph(l).SCCs() }
+
+// selfEdgeBounds returns, per op, the recurrence constraint implied by its
+// reflexive edges — max ceil(d/dist) over them — computed in one pass over
+// the edges into ws's reusable buffer. An op with a zero-distance self
+// edge of positive delay (unschedulable at any II) holds -d instead, for
+// the first such edge d in edge order. Only singleton SCCs read the
+// result; multi-node SCCs see their self edges through MinDist.
+func (ws *Scratch) selfEdgeBounds(l *ir.Loop, delays []int) []int {
+	n := l.NumOps()
+	if cap(ws.self) < n {
+		ws.self = make([]int, n)
+	}
+	self := ws.self[:n]
+	clear(self)
 	for ei, e := range l.Edges {
-		if e.From != op || e.To != op {
+		if e.From != e.To || self[e.From] < 0 {
 			continue
 		}
 		d := delays[ei]
 		if e.Distance == 0 {
 			if d > 0 {
-				return 0, fmt.Errorf("mii: loop %s: op %d has zero-distance self dependence with delay %d: %w",
-					l.Name, op, d, scherr.ErrNoSchedule)
+				self[e.From] = -d
 			}
 			continue
 		}
 		// Smallest II with d - II*dist <= 0, i.e. II >= ceil(d/dist).
 		if d > 0 {
-			if r := (d + e.Distance - 1) / e.Distance; r > rec {
-				rec = r
+			if r := (d + e.Distance - 1) / e.Distance; r > self[e.From] {
+				self[e.From] = r
 			}
 		}
 	}
-	return rec, nil
+	return self
 }
 
 // sccFeasible reports whether the recurrences within one multi-node SCC
@@ -168,28 +180,21 @@ func maxIIBound(delays []int) int {
 // Single-operation SCCs are handled by the closed-form reflexive-edge
 // bound without invoking ComputeMinDist.
 func RecurrenceMII(l *ir.Loop, delays []int, start int, c *Counters) (int, error) {
-	return RecurrenceMIIContext(nil, l, delays, start, c)
+	return recurrenceMII(nil, l, delays, SCCs(l), start, c, nil)
 }
 
-// RecurrenceMIIContext is RecurrenceMII with cancellation: the context is
-// checked inside every MinDist closure of the per-SCC search. A nil ctx
-// disables the checks.
-func RecurrenceMIIContext(ctx context.Context, l *ir.Loop, delays []int, start int, c *Counters) (int, error) {
-	return RecurrenceMIIScratch(ctx, l, delays, start, c, nil)
-}
-
-// RecurrenceMIIScratch is RecurrenceMIIContext with caller-owned MinDist
-// buffers: every feasibility probe of every SCC shares ws. A nil ws uses
-// a call-local scratch (one allocation set for the whole search).
-func RecurrenceMIIScratch(ctx context.Context, l *ir.Loop, delays []int, start int, c *Counters, ws *Scratch) (int, error) {
+// recurrenceMII is the per-SCC search over comps, the dependence graph's
+// SCCs in the order SCCs returns them. ctx is checked inside every MinDist
+// closure (nil disables the checks); every feasibility probe of every SCC
+// shares ws's buffers, and a nil ws uses a call-local scratch.
+func recurrenceMII(ctx context.Context, l *ir.Loop, delays []int, comps [][]int, start int, c *Counters, ws *Scratch) (int, error) {
 	if len(delays) != len(l.Edges) {
 		return 0, fmt.Errorf("mii: loop %s: %d delays for %d edges: %w", l.Name, len(delays), len(l.Edges), scherr.ErrInvalidLoop)
 	}
 	if ws == nil {
 		ws = &Scratch{}
 	}
-	g := depGraph(l)
-	comps := g.SCCs()
+	self := ws.selfEdgeBounds(l, delays)
 	maxII := maxIIBound(delays)
 	running := start
 	if running < 1 {
@@ -197,9 +202,11 @@ func RecurrenceMIIScratch(ctx context.Context, l *ir.Loop, delays []int, start i
 	}
 	for _, scc := range comps {
 		if len(scc) == 1 {
-			rec, err := selfEdgeRecMII(l, delays, scc[0])
-			if err != nil {
-				return 0, err
+			op := scc[0]
+			rec := self[op]
+			if rec < 0 {
+				return 0, fmt.Errorf("mii: loop %s: op %d has zero-distance self dependence with delay %d: %w",
+					l.Name, op, -rec, scherr.ErrNoSchedule)
 			}
 			if rec > running {
 				running = rec
