@@ -155,7 +155,7 @@ func BenchmarkScheduleLivermore(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, l := range loops {
-			if _, err := modsched.Compile(l, m, opts); err != nil {
+			if _, err := modsched.Compile(context.Background(), l, m, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -495,7 +495,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+		s, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -127,7 +127,6 @@ type clientFlags struct {
 	budget        float64
 	priority      string
 	delays        string
-	workers       int
 	timeout       time.Duration
 	besteffort    bool
 }
@@ -142,7 +141,6 @@ func (cf clientFlags) request(in input) server.CompileRequest {
 			Budget:   cf.budget,
 			Priority: cf.priority,
 			Delays:   cf.delays,
-			Workers:  cf.workers,
 		},
 	}
 	if cf.timeout > 0 {

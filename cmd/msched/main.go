@@ -5,7 +5,7 @@
 //	msched [-machine cydra5|generic|tiny|FILE.mach] [-algo iterative|slack]
 //	       [-budget 2] [-priority heightr|fifo|depth|recfirst]
 //	       [-delays vliw|conservative] [-timeout 0] [-besteffort]
-//	       [-workers N] [-cache] [-verbose] [-mrt] [-gantt N]
+//	       [-cache] [-verbose] [-mrt] [-gantt N]
 //	       [-backsub] [-flat] [-cpuprofile f] [-memprofile f]
 //	       [-server addr] file.loop [file2.loop ...]
 //
@@ -14,15 +14,13 @@
 // modulo reservation table, -gantt N a pipeline diagram of N overlapped
 // iterations, -backsub applies recurrence back-substitution first, and
 // -flat also reports the explicit prologue/kernel/epilogue schema.
-// -workers N races N candidate IIs speculatively (the result is
-// bit-identical to the sequential search); -cache memoizes compilations
-// across the input files, so structurally identical loops schedule once,
-// and reports hit/miss counters at the end. -timeout bounds the whole
-// compilation; -besteffort falls back to slack scheduling and then to an
-// unpipelined degenerate schedule rather than failing. When -timeout
-// expires under -besteffort, the degenerate schedule is still produced
-// (the acyclic stage needs no deadline), the degradation report is
-// flushed to stderr, and the exit code is 0.
+// -cache memoizes compilations across the input files, so structurally
+// identical loops schedule once, and reports hit/miss counters at the
+// end. -timeout bounds the whole compilation; -besteffort falls back to
+// slack scheduling and then to an unpipelined degenerate schedule rather
+// than failing. When -timeout expires under -besteffort, the degenerate
+// schedule is still produced (the acyclic stage needs no deadline), the
+// degradation report is flushed to stderr, and the exit code is 0.
 //
 // -server addr ships the sources to a running mschedd — or an
 // mschedfront fleet — (docs/serving.md) instead of compiling
@@ -101,7 +99,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		delays     = fs.String("delays", "vliw", "delay model: vliw, conservative")
 		timeout    = fs.Duration("timeout", 0, "abort compilation after this long (0 = no deadline)")
 		besteffort = fs.Bool("besteffort", false, "degrade through slack and unpipelined scheduling instead of failing")
-		workers    = fs.Int("workers", 0, "race this many candidate IIs concurrently (0/1 = sequential search)")
 		useCache   = fs.Bool("cache", false, "memoize compilations across input files and report hit/miss counters")
 		verbose    = fs.Bool("verbose", false, "print the parsed loop and per-op schedule")
 		flat       = fs.Bool("flat", false, "also emit explicit prologue/kernel/epilogue code (modulo variable expansion)")
@@ -175,29 +172,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 
 	opts := core.DefaultOptions()
 	opts.BudgetRatio = *budget
-	switch *priority {
-	case "heightr":
-		opts.Priority = core.PriorityHeightR
-	case "fifo":
-		opts.Priority = core.PriorityFIFO
-	case "depth":
-		opts.Priority = core.PriorityDepth
-	case "recfirst":
-		opts.Priority = core.PriorityRecFirst
-	default:
-		return fail(exitUsage, "unknown priority %q", *priority)
+	if opts.Priority, err = core.ParsePriority(*priority); err != nil {
+		return fail(exitUsage, "%v", err)
 	}
 	if *algo != "iterative" && *algo != "slack" {
 		return fail(exitUsage, "unknown algorithm %q", *algo)
 	}
-	opts.SearchWorkers = *workers
-	switch *delays {
-	case "vliw":
-		opts.DelayModel = ir.VLIWDelays
-	case "conservative":
-		opts.DelayModel = ir.ConservativeDelays
-	default:
-		return fail(exitUsage, "unknown delay model %q", *delays)
+	if opts.DelayModel, err = ir.ParseDelayModel(*delays); err != nil {
+		return fail(exitUsage, "%v", err)
 	}
 
 	srcs, err := readInputs(fs, stdin)
@@ -225,7 +207,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		// stays byte-identical to local compilation.
 		cf := clientFlags{
 			budget: *budget, priority: *priority,
-			delays: *delays, workers: *workers, timeout: *timeout,
+			delays: *delays, timeout: *timeout,
 			besteffort: *besteffort,
 		}
 		if machSource != "" {
@@ -339,7 +321,7 @@ func compileOne(ctx context.Context, src string, m *machine.Machine, opts core.O
 		if cache == nil {
 			return compile()
 		}
-		return cache.Do(loop, m, opts, compile)
+		return cache.Do(ctx, loop, m, opts, compile)
 	}
 	var sched *core.Schedule
 	switch {

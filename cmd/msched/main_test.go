@@ -218,21 +218,6 @@ func TestTimeoutAppliesPerInput(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchSequential: the speculative II race must not change
-// any observable output of the CLI.
-func TestWorkersMatchSequential(t *testing.T) {
-	_, seqOut, _ := runCase(t, nil, goodLoop)
-	for _, w := range []string{"2", "4"} {
-		code, out, stderr := runCase(t, []string{"-workers", w}, goodLoop)
-		if code != exitOK {
-			t.Fatalf("-workers %s: exit = %d, stderr: %s", w, code, stderr)
-		}
-		if out != seqOut {
-			t.Errorf("-workers %s output differs from sequential:\n%s\nwant:\n%s", w, out, seqOut)
-		}
-	}
-}
-
 // TestCacheAcrossFiles: compiling two structurally identical loops under
 // different names with -cache schedules once and serves the second from
 // the cache, with identical per-loop output.

@@ -3,6 +3,7 @@ package modsched_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,22 +45,22 @@ func TestSentinelsThroughEntryPoints(t *testing.T) {
 		return func(l *modsched.Loop, mm *modsched.Machine, opts modsched.Options) error {
 			switch name {
 			case "Compile":
-				_, err := modsched.Compile(l, mm, opts)
+				_, err := modsched.Compile(context.Background(), l, mm, opts)
 				return err
 			case "CompileSlack":
-				_, err := modsched.CompileSlack(l, mm, opts)
-				return err
-			case "CompileContext":
-				_, err := modsched.CompileContext(context.Background(), l, mm, opts)
+				_, err := modsched.CompileSlack(context.Background(), l, mm, opts)
 				return err
 			case "CompileBestEffort":
-				_, _, err := modsched.CompileBestEffort(l, mm, opts)
+				_, _, err := modsched.CompileBestEffort(context.Background(), nil, l, mm, opts)
+				return err
+			case "CompileBestEffortWithCache":
+				_, _, err := modsched.CompileBestEffort(context.Background(), modsched.NewCompileCache(0), l, mm, opts)
 				return err
 			}
 			panic("unknown entry")
 		}
 	}
-	for _, name := range []string{"Compile", "CompileSlack", "CompileContext", "CompileBestEffort"} {
+	for _, name := range []string{"Compile", "CompileSlack", "CompileBestEffort", "CompileBestEffortWithCache"} {
 		call := entry(name)
 		t.Run(name, func(t *testing.T) {
 			if err := call(nil, m, modsched.DefaultOptions()); !errors.Is(err, modsched.ErrInvalidLoop) {
@@ -71,7 +72,7 @@ func TestSentinelsThroughEntryPoints(t *testing.T) {
 			if err := call(bad, m, modsched.DefaultOptions()); !errors.Is(err, modsched.ErrInvalidLoop) {
 				t.Errorf("dangling edge: want ErrInvalidLoop, got %v", err)
 			}
-			if name == "CompileBestEffort" {
+			if strings.HasPrefix(name, "CompileBestEffort") {
 				return // degrades rather than reporting ErrNoSchedule
 			}
 			opts := modsched.DefaultOptions()
@@ -99,10 +100,20 @@ func TestCorruptedMachineIsContained(t *testing.T) {
 	l := daxpyLoop(t, m)
 	m.Resources = m.Resources[:1]
 	for name, call := range map[string]func() error{
-		"Compile":      func() error { _, err := modsched.Compile(l, m, modsched.DefaultOptions()); return err },
-		"CompileSlack": func() error { _, err := modsched.CompileSlack(l, m, modsched.DefaultOptions()); return err },
+		"Compile": func() error {
+			_, err := modsched.Compile(context.Background(), l, m, modsched.DefaultOptions())
+			return err
+		},
+		"CompileSlack": func() error {
+			_, err := modsched.CompileSlack(context.Background(), l, m, modsched.DefaultOptions())
+			return err
+		},
 		"CompileBestEffort": func() error {
-			_, _, err := modsched.CompileBestEffort(l, m, modsched.DefaultOptions())
+			_, _, err := modsched.CompileBestEffort(context.Background(), nil, l, m, modsched.DefaultOptions())
+			return err
+		},
+		"CompileBestEffortWithCache": func() error {
+			_, _, err := modsched.CompileBestEffort(context.Background(), modsched.NewCompileCache(0), l, m, modsched.DefaultOptions())
 			return err
 		},
 	} {
@@ -137,7 +148,7 @@ func TestPreCancelledContextReturnsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = modsched.CompileContext(ctx, largest, m, modsched.DefaultOptions())
+	_, err = modsched.Compile(ctx, largest, m, modsched.DefaultOptions())
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -175,7 +186,7 @@ func TestBestEffortAlwaysDelivers(t *testing.T) {
 		if opts.MaxII < 1 {
 			opts.MaxII = 1 // MII == 1: cannot go lower, the cap still binds hard
 		}
-		s, deg, err := modsched.CompileBestEffort(l, m, opts)
+		s, deg, err := modsched.CompileBestEffort(context.Background(), nil, l, m, opts)
 		if err != nil {
 			t.Fatalf("%s: best effort failed: %v", l.Name, err)
 		}

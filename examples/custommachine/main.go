@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -96,7 +97,7 @@ brtop
 	if err != nil {
 		log.Fatal(err)
 	}
-	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("if-converted: %d predicated ops in one block\n", res.Loop.NumRealOps())
 
-	sched, err := modsched.Compile(res.Loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), res.Loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 		fmt.Printf("=== %s ===\n", m.Name)
 		fmt.Printf("%-32s %4s %5s %4s %4s %6s %8s\n", "kernel", "ops", "MII", "II", "SL", "stages", "speedup")
 		for _, l := range loops {
-			sched, err := modsched.Compile(l, m, modsched.DefaultOptions())
+			sched, err := modsched.Compile(context.Background(), l, m, modsched.DefaultOptions())
 			if err != nil {
 				log.Fatalf("%s: %v", l.Name, err)
 			}

@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	}
 	fmt.Printf("ResMII=%d MII=%d\n", bounds.ResMII, bounds.MII)
 
-	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

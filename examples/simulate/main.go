@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 
 	// Pick a trip count both schemas accept: the explicit schema needs
 	// trips ≡ SC-1 (mod U), so plan the unroll factor first.
-	planSched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	planSched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 	}
 
 	// Schedule.
-	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

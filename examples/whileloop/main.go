@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

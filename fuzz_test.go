@@ -41,7 +41,7 @@ func FuzzCompile(f *testing.F) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 
-		s, err := modsched.CompileContext(ctx, l, m, opts)
+		s, err := modsched.Compile(ctx, l, m, opts)
 		if err == nil {
 			if cerr := modsched.CheckSchedule(s); cerr != nil {
 				t.Fatalf("compiled schedule fails verification: %v\ninput:\n%s", cerr, src)
@@ -50,7 +50,7 @@ func FuzzCompile(f *testing.F) {
 			t.Fatalf("internal error on parseable input: %v\ninput:\n%s", err, src)
 		}
 
-		bs, deg, err := modsched.CompileBestEffortContext(ctx, l, m, opts)
+		bs, deg, err := modsched.CompileBestEffort(ctx, nil, l, m, opts)
 		if err != nil {
 			// Only cancellation and input rejection may defeat best effort.
 			if ctx.Err() == nil && !errors.Is(err, modsched.ErrInvalidLoop) && !errors.Is(err, modsched.ErrInvalidMachine) && !errors.Is(err, modsched.ErrNoSchedule) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -453,5 +454,23 @@ func TestStageCount(t *testing.T) {
 	s = &Schedule{II: 4, Length: 0}
 	if s.StageCount() != 1 {
 		t.Errorf("StageCount = %d, want 1 (minimum)", s.StageCount())
+	}
+}
+
+// TestParsePriorityRoundTrip pins ParsePriority as the inverse of String
+// for every priority kind, and the exact diagnostic for an unknown name
+// (msched and the server both print it verbatim).
+func TestParsePriorityRoundTrip(t *testing.T) {
+	for _, p := range []PriorityKind{PriorityHeightR, PriorityFIFO, PriorityDepth, PriorityRecFirst} {
+		got, err := ParsePriority(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePriority(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, bad := range []string{"", "HeightR", "PriorityKind(4)", "lifo"} {
+		_, err := ParsePriority(bad)
+		if want := "unknown priority " + strconv.Quote(bad); err == nil || err.Error() != want {
+			t.Errorf("ParsePriority(%q) error = %v; want %s", bad, err, want)
+		}
 	}
 }

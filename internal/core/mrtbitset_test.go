@@ -59,7 +59,7 @@ func assertBitsetEqualsScan(t *testing.T, name string, l *ir.Loop, m *machine.Ma
 // TestBitsetMatchesScanCorpus runs the differential battery over three
 // machines, a synthetic corpus, and every scheduling variant that touches
 // the MRT hot path (early/late placement, restart ablation, the depth
-// priority, the speculative II race, the slack scheduler).
+// priority, the slack scheduler).
 func TestBitsetMatchesScanCorpus(t *testing.T) {
 	machines := []struct {
 		name string
@@ -82,7 +82,6 @@ func TestBitsetMatchesScanCorpus(t *testing.T) {
 		{"placelate", func(o *Options) { o.PlaceLate = true }, AlgoIterative},
 		{"restart", func(o *Options) { o.RestartOnFailure = true }, AlgoIterative},
 		{"depth", func(o *Options) { o.Priority = PriorityDepth }, AlgoIterative},
-		{"workers4", func(o *Options) { o.SearchWorkers = 4 }, AlgoIterative},
 		{"slack", func(o *Options) {}, AlgoSlack},
 	}
 	for _, mk := range machines {

@@ -49,6 +49,17 @@ func (p PriorityKind) String() string {
 	}
 }
 
+// ParsePriority is the inverse of PriorityKind.String for the named
+// priority functions.
+func ParsePriority(s string) (PriorityKind, error) {
+	for p := PriorityHeightR; p <= PriorityRecFirst; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return PriorityHeightR, fmt.Errorf("unknown priority %q", s)
+}
+
 // Options configures ModuloSchedule.
 type Options struct {
 	// BudgetRatio is the ratio of the maximum number of operation
@@ -72,12 +83,6 @@ type Options struct {
 	// explores (placing producers later shortens their values'
 	// lifetimes). Exists for the register-pressure ablation.
 	PlaceLate bool
-	// SearchWorkers, when greater than 1, races that many candidate IIs
-	// concurrently instead of probing them one at a time (see
-	// parallel.go). The result — schedule, counters, and error — is
-	// identical to the sequential search for any worker count; only
-	// wall-clock time changes. 0 and 1 mean sequential.
-	SearchWorkers int
 
 	// scanMRT answers every MRT fit with the reference use-by-use scan
 	// instead of the compiled placement masks (machine.Compiled). Only
@@ -155,8 +160,7 @@ type problem struct {
 	// condensation (the graph topology never changes across II attempts,
 	// only the edge weights Delay - II*Distance do), the static priority
 	// vectors, the all-ops node list, and the cross-II MinDist coefficient
-	// profile. All of them must be forced via prewarm before candidate
-	// goroutines fork (parallel.go) so the race shares them read-only.
+	// profile.
 	comps     [][]int
 	fifoPrio  []int
 	depthPrio []int
@@ -178,22 +182,6 @@ func (p *problem) profile() *mii.Profile {
 		p.prof = mii.BuildProfile(p.loop, p.delays, p.allNodes(), &p.counters.MII)
 	}
 	return p.prof
-}
-
-// prewarm forces every lazily-built II-independent cache so the
-// speculative II race can share the problem read-only across candidate
-// goroutines. The profile is only needed by the slack algorithm's
-// per-attempt MinDist closure; building it for the iterative scheduler
-// would be pure waste.
-func (p *problem) prewarm(algo string) {
-	p.condensation()
-	p.fifoPriority()
-	p.depthPriority()
-	p.allNodes()
-	p.opcodeOrder()
-	if algo == AlgoSlack {
-		p.profile()
-	}
 }
 
 // opcodeOrder returns the per-op opcode registration indices (the rows of

@@ -86,14 +86,6 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		budget = l.NumOps() + 1 // always enough to try each op once
 	}
 
-	// Speculative II race: with more than one search worker and more than
-	// one candidate II, hand the whole window to the parallel driver. Its
-	// result is identical to the sequential loop below for any worker
-	// count (see parallel.go for the folding argument).
-	if w := opts.SearchWorkers; w > 1 && maxII > bounds.MII {
-		return p.searchParallel(bounds, maxII, budget, algo, w, &c)
-	}
-
 	exhausted := false
 	for ii := bounds.MII; ii <= maxII; ii++ {
 		if err := p.ctxErr(); err != nil {
@@ -113,9 +105,26 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		}
 		// Detach the result from the pooled scratch: the state's buffers
 		// are reused by the next scheduling call.
-		times := append(make([]int, 0, len(s.times)), s.times...)
-		alts := append(make([]int, 0, len(s.alts)), s.alts...)
-		return finishSchedule(p, bounds, ii, times, alts, &c)
+		sched = &Schedule{
+			Loop:    l,
+			Machine: m,
+			Options: p.opts,
+			II:      ii,
+			MII:     bounds.MII,
+			ResMII:  bounds.ResMII,
+			Times:   append(make([]int, 0, len(s.times)), s.times...),
+			Alts:    append(make([]int, 0, len(s.alts)), s.alts...),
+			Length:  s.times[l.Stop()],
+			Delays:  p.delays,
+			Stats:   c,
+		}
+		if err := Check(sched); err != nil {
+			return nil, &InternalError{
+				Loop: l.Name, II: ii, Counters: c,
+				Err: fmt.Errorf("produced schedule fails verification: %w", err),
+			}
+		}
+		return sched, nil
 	}
 	return nil, &NoScheduleError{
 		Loop:            l.Name,
@@ -125,32 +134,6 @@ func scheduleLoop(ctx context.Context, l *ir.Loop, m *machine.Machine, opts Opti
 		Attempts:        c.IIAttempts,
 		BudgetExhausted: exhausted,
 	}
-}
-
-// finishSchedule assembles and verifies the final Schedule from a
-// successful attempt's detached times/alts. Shared by the sequential
-// search loop and the speculative II race's fold step.
-func finishSchedule(p *problem, bounds *mii.Result, ii int, times, alts []int, c *Counters) (*Schedule, error) {
-	sched := &Schedule{
-		Loop:    p.loop,
-		Machine: p.mach,
-		Options: p.opts,
-		II:      ii,
-		MII:     bounds.MII,
-		ResMII:  bounds.ResMII,
-		Times:   times,
-		Alts:    alts,
-		Length:  times[p.loop.Stop()],
-		Delays:  p.delays,
-		Stats:   *c,
-	}
-	if err := Check(sched); err != nil {
-		return nil, &InternalError{
-			Loop: p.loop.Name, II: ii, Counters: *c,
-			Err: fmt.Errorf("produced schedule fails verification: %w", err),
-		}
-	}
-	return sched, nil
 }
 
 // runAttempt runs one II attempt with panic containment: an invariant

@@ -91,10 +91,7 @@ func (sc *scratch) newState(p *problem, ii int) *state {
 		s.mrt = &mrt{}
 	}
 	s.mrt.reset(ii, p.mach.NumResources())
-	// opcodeOrder is II-independent but lazily built; prewarm forces it
-	// before the speculative II race forks, so this call is read-only in
-	// candidate goroutines.
-	p.opcodeOrder()
+	p.opcodeOrder() // II-independent, built on the first attempt
 	if p.opts.scanMRT {
 		s.comp = nil
 		s.selfOK = resetInt8s(s.selfOK, int(p.altOff[n]), 0)

@@ -132,7 +132,7 @@ func runOne(ctx context.Context, l *ir.Loop, m *machine.Machine, opts core.Optio
 	var s *core.Schedule
 	var err error
 	if cache != nil {
-		s, _, err = cache.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+		s, _, err = cache.Do(ctx, l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 			sched, cerr := core.ModuloScheduleContext(ctx, l, m, opts)
 			return sched, nil, cerr
 		})

@@ -32,6 +32,17 @@ func (m DelayModel) String() string {
 	}
 }
 
+// ParseDelayModel is the inverse of DelayModel.String for the named
+// delay models.
+func ParseDelayModel(s string) (DelayModel, error) {
+	for m := VLIWDelays; m <= ConservativeDelays; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return VLIWDelays, fmt.Errorf("unknown delay model %q", s)
+}
+
 // EdgeDelay computes the Table 1 delay for a dependence of kind k between
 // a predecessor with latency predLat and a successor with latency succLat.
 //

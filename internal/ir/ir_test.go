@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -406,5 +407,23 @@ func TestValidateRejectsDoubleDefinition(t *testing.T) {
 	bad.Ops[2].Dest = bad.Ops[1].Dest
 	if err := bad.Validate(m); err == nil {
 		t.Error("double definition accepted (DSA violation)")
+	}
+}
+
+// TestParseDelayModelRoundTrip pins ParseDelayModel as the inverse of
+// String for every delay model, and the exact diagnostic for an unknown
+// name (msched and the server both print it verbatim).
+func TestParseDelayModelRoundTrip(t *testing.T) {
+	for _, m := range []DelayModel{VLIWDelays, ConservativeDelays} {
+		got, err := ParseDelayModel(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseDelayModel(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "VLIW", "DelayModel(2)", "superscalar"} {
+		_, err := ParseDelayModel(bad)
+		if want := "unknown delay model " + strconv.Quote(bad); err == nil || err.Error() != want {
+			t.Errorf("ParseDelayModel(%q) error = %v; want %s", bad, err, want)
+		}
 	}
 }

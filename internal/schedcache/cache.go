@@ -10,28 +10,22 @@
 //   - Keys are structural, not pointer-based. A machine.Clone() and its
 //     original hit the same entries (Fingerprint identity); a re-parsed
 //     loop hits the entry of its first parse (looplang.Print identity).
-//     Options participate in the key EXCEPT SearchWorkers: the
-//     speculative II race is bit-identical to the sequential search by
-//     the core determinism suite, so worker count must not fragment the
-//     cache.
 //   - Hits return deep copies rebound to the caller's loop and machine
 //     pointers. A caller mutating a returned schedule cannot poison
 //     later hits.
 //   - Duplicate concurrent compiles of the same key execute once
 //     (singleflight): latecomers block on the first flight and share its
-//     result. Errors are never cached — a failed or cancelled compile is
-//     retried by the next caller.
-//
-// The scheduling algorithm is chosen by the CompileFunc, not by the
-// options, so it is invisible to the key: one Cache must serve a single
-// compile entry point. Callers mixing algorithms (iterative vs slack vs
-// best-effort) need one cache per algorithm.
+//     result. Errors are never cached — a failed compile is retried by
+//     the next caller — and a flight cancelled by its leader's context
+//     is never handed to latecomers, who retry under their own.
 package schedcache
 
 import (
 	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -56,7 +50,9 @@ type Stats struct {
 	Hits, Misses, Inflight, Evictions int64
 }
 
-// CompileFunc produces the value to cache on a miss.
+// CompileFunc produces the value to cache on a miss. The key does not
+// say which scheduler it runs, so all callers of one Cache must pass
+// functions that run the same one.
 type CompileFunc func() (*core.Schedule, *core.Degradation, error)
 
 // entry is one cached compilation, stored detached from every caller.
@@ -124,9 +120,9 @@ func (c *Cache) Len() int {
 }
 
 // Key derives the canonical cache key: a hash over the machine
-// fingerprint, the options (minus SearchWorkers — see the package
-// comment), and the loop's structural rendering. Cache.Do computes the
-// same key with the machine fingerprint memoized; keep the two in sync.
+// fingerprint, the options, and the loop's structural rendering. Cache.Do
+// computes the same key with the machine fingerprint memoized; keep the
+// two in sync.
 func Key(l *ir.Loop, m *machine.Machine, opts core.Options) string {
 	return keyWith(sha256.Sum256([]byte(m.Fingerprint())), l, opts)
 }
@@ -239,25 +235,41 @@ func writeCanonicalLoop(w io.Writer, l *ir.Loop) {
 // on a miss. Concurrent misses of the same key execute compile once; the
 // rest wait and share the result. The returned schedule is the caller's
 // own deep copy, rebound to the caller's l and m pointers.
-func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile CompileFunc) (*core.Schedule, *core.Degradation, error) {
+//
+// ctx bounds only the wait on another caller's flight: a joiner whose
+// ctx ends returns ctx.Err(), and a flight that ends in its leader's
+// context error is retried (led anew or joined again) rather than shared.
+// The compile itself observes whatever context compile closes over.
+func (c *Cache) Do(ctx context.Context, l *ir.Loop, m *machine.Machine, opts core.Options, compile CompileFunc) (*core.Schedule, *core.Degradation, error) {
 	key := keyWith(c.fingerprint(m), l, opts)
 
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		ent := el.Value.(*entry)
-		c.stats.Hits++
-		c.mu.Unlock()
-		return copySchedule(ent.sched, l, m), copyDegradation(ent.deg), nil
-	}
-	if f, ok := c.flights[key]; ok {
+	for {
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+			ent := el.Value.(*entry)
+			c.stats.Hits++
+			c.mu.Unlock()
+			return copySchedule(ent.sched, l, m), copyDegradation(ent.deg), nil
+		}
+		f, ok := c.flights[key]
+		if !ok {
+			break
+		}
 		c.stats.Inflight++
 		c.mu.Unlock()
-		<-f.done
-		if f.err != nil {
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+		if f.err == nil {
+			return copySchedule(f.sched, l, m), copyDegradation(f.deg), nil
+		}
+		if !isContextErr(f.err) {
 			return nil, nil, f.err
 		}
-		return copySchedule(f.sched, l, m), copyDegradation(f.deg), nil
+		c.mu.Lock()
 	}
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
@@ -275,15 +287,21 @@ func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Co
 		c.mu.Unlock()
 		sched, deg, err = compile()
 	}
-	if err == nil {
-		// The master copy is detached from the result handed to the miss
-		// caller, so their later mutations cannot reach the cache.
-		f.sched, f.deg = copySchedule(sched, sched.Loop, sched.Machine), copyDegradation(deg)
-	} else {
+	if err != nil {
+		// Unpublish before waking the joiners, so one retrying after a
+		// cancelled flight never finds the dead flight again.
+		c.mu.Lock()
+		delete(c.flights, key)
+		c.mu.Unlock()
 		f.err = err
+		close(f.done)
+		return nil, nil, err
 	}
+	// The master copy is detached from the result handed to the miss
+	// caller, so their later mutations cannot reach the cache.
+	f.sched, f.deg = copySchedule(sched, sched.Loop, sched.Machine), copyDegradation(deg)
 	close(f.done)
-	if err == nil && !fromDisk {
+	if !fromDisk {
 		// Write-through, best effort: the compile is served from memory
 		// whether or not persistence succeeds.
 		c.diskPut(key, f.sched, f.deg)
@@ -291,17 +309,21 @@ func (c *Cache) Do(l *ir.Loop, m *machine.Machine, opts core.Options, compile Co
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	if err == nil {
-		c.entries[key] = c.lru.PushFront(&entry{key: key, sched: f.sched, deg: f.deg})
-		for c.lru.Len() > c.cap {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*entry).key)
-			c.stats.Evictions++
-		}
+	c.entries[key] = c.lru.PushFront(&entry{key: key, sched: f.sched, deg: f.deg})
+	for c.lru.Len() > c.cap {
+		oldest := c.lru.Back()
+		c.lru.Remove(oldest)
+		delete(c.entries, oldest.Value.(*entry).key)
+		c.stats.Evictions++
 	}
 	c.mu.Unlock()
-	return sched, deg, err
+	return sched, deg, nil
+}
+
+// isContextErr reports whether err is a cancellation or deadline: the
+// leader's own circumstance, not a property of the key.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // fingerprint returns the digest of m's fingerprint, memoized by

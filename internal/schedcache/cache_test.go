@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -44,11 +45,11 @@ func TestCacheHitReturnsEqualSchedule(t *testing.T) {
 	opts := core.DefaultOptions()
 	c := New(8)
 
-	s1, d1, err := c.Do(l, m, opts, compileDirect(l, m, opts))
+	s1, d1, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, d2, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	s2, d2, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		t.Fatal("second Do must not compile")
 		return nil, nil, nil
 	})
@@ -71,7 +72,7 @@ func TestCacheHitIsDeepCopy(t *testing.T) {
 	opts := core.DefaultOptions()
 	c := New(8)
 
-	s1, _, err := c.Do(l, m, opts, compileDirect(l, m, opts))
+	s1, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestCacheHitIsDeepCopy(t *testing.T) {
 	for i := range s1.Times {
 		s1.Times[i] = -99
 	}
-	s2, _, err := c.Do(l, m, opts, nil)
+	s2, _, err := c.Do(context.Background(), l, m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestCacheHitIsDeepCopy(t *testing.T) {
 	for i := range s2.Times {
 		s2.Times[i] = -77
 	}
-	s3, _, err := c.Do(l, m, opts, nil)
+	s3, _, err := c.Do(context.Background(), l, m, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +116,6 @@ func TestCacheKeyStructuralIdentity(t *testing.T) {
 	}
 	if Key(l, m, opts) != Key(reparsed, m, opts) {
 		t.Error("looplang round-trip changed the cache key")
-	}
-
-	wopts := opts
-	wopts.SearchWorkers = 8
-	if Key(l, m, opts) != Key(l, m, wopts) {
-		t.Error("SearchWorkers fragments the cache key; the race is bit-identical and must not")
 	}
 
 	bopts := opts
@@ -150,7 +145,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		testLoop(t, m, "c", 3),
 	}
 	for _, l := range loops {
-		if _, _, err := c.Do(l, m, opts, compileDirect(l, m, opts)); err != nil {
+		if _, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +154,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// "a" was evicted (LRU); "c" and "b" remain.
 	compiled := false
-	if _, _, err := c.Do(loops[0], m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	if _, _, err := c.Do(context.Background(), loops[0], m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		compiled = true
 		return core.ModuloScheduleBestEffort(nil, loops[0], m, opts)
 	}); err != nil {
@@ -170,7 +165,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Re-inserting "a" evicted "b" (the new LRU tail); "c" must still be
 	// cached: a hit, no compile.
-	if _, _, err := c.Do(loops[2], m, opts, nil); err != nil {
+	if _, _, err := c.Do(context.Background(), loops[2], m, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -198,7 +193,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			scheds[i], _, errs[i] = c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			scheds[i], _, errs[i] = c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 				compiles.Add(1)
 				return core.ModuloScheduleBestEffort(nil, l, m, opts)
 			})
@@ -238,20 +233,20 @@ func TestCacheErrorsNotCached(t *testing.T) {
 		calls++
 		return nil, nil, fmt.Errorf("attempt %d: %w", calls, boom)
 	}
-	if _, _, err := c.Do(l, m, opts, fail); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), l, m, opts, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if _, _, err := c.Do(l, m, opts, fail); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), l, m, opts, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if calls != 2 {
 		t.Fatalf("failing compile executed %d times, want 2 (errors must not be cached)", calls)
 	}
 	// A subsequent success is cached normally.
-	if _, _, err := c.Do(l, m, opts, compileDirect(l, m, opts)); err != nil {
+	if _, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Do(l, m, opts, nil); err != nil {
+	if _, _, err := c.Do(context.Background(), l, m, opts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -287,13 +282,13 @@ func BenchmarkCacheHit(b *testing.B) {
 	l := testLoop(b, m, "bench", 4)
 	opts := core.DefaultOptions()
 	c := New(8)
-	if _, _, err := c.Do(l, m, opts, compileDirect(l, m, opts)); err != nil {
+	if _, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Do(l, m, opts, nil); err != nil {
+		if _, _, err := c.Do(context.Background(), l, m, opts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,5 +318,33 @@ func TestKeyDistinctForDelimiterCollidingMachines(t *testing.T) {
 	ka, kb := Key(l, a, opts), Key(l, b, opts)
 	if ka == kb {
 		t.Fatalf("delimiter-colliding machines share the cache key %s", ka)
+	}
+}
+
+// TestKeyPinned pins one key to its literal digest. Cache keys are
+// persistent identities: they name diskcache entries, pick the replica a
+// front proxy routes to, and derive idempotent job ids, so a change to
+// the key derivation orphans all of them. Update the literal only with a
+// deliberate key-format change.
+func TestKeyPinned(t *testing.T) {
+	m := machine.Cydra5()
+	l, err := looplang.Parse(`
+loop daxpy
+xi = aadd xi@1, #8
+x  = load xi
+yi = aadd yi@1, #8
+y  = load yi
+t1 = fmul a, x
+t2 = fadd y, t1
+si = aadd si@1, #8
+st: store si, t2
+brtop
+`, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "a03fbf94da945dcba0126630a8deb74d5b973e7da24166f6e35a19c982b21084"
+	if got := Key(l, m, core.DefaultOptions()); got != want {
+		t.Errorf("Key(daxpy, Cydra5, DefaultOptions) = %s, want %s", got, want)
 	}
 }

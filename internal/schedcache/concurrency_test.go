@@ -1,6 +1,9 @@
 package schedcache
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +59,7 @@ func TestConcurrentHammerAccounting(t *testing.T) {
 				// goroutines overlaps on every key at some point.
 				k := (r + g) % keys
 				l := loops[k]
-				s, _, err := c.Do(l, m, opts, compileDirect(l, m, opts))
+				s, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -139,7 +142,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+		s, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 			close(inCompile)
 			deadline := time.Now().Add(30 * time.Second)
 			for c.Stats().Inflight < latecomers {
@@ -163,7 +166,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			s, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 				t.Error("latecomer must join the flight, not compile")
 				return compileDirect(l, m, opts)()
 			})
@@ -192,5 +195,89 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 				t.Fatalf("callers %d and %d share a Times array", i, j)
 			}
 		}
+	}
+}
+
+// TestJoinerSurvivesLeaderCancellation: a flight that ends in its
+// leader's context error is the leader's circumstance, not the key's. A
+// joiner with a live context must not inherit it; it retries, leads a
+// new flight, and gets a schedule.
+func TestJoinerSurvivesLeaderCancellation(t *testing.T) {
+	m := machine.Cydra5()
+	l := testLoop(t, m, "cancelled-leader", 3)
+	opts := core.DefaultOptions()
+	c := New(8)
+
+	inCompile := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			close(inCompile)
+			deadline := time.Now().Add(30 * time.Second)
+			for c.Stats().Inflight < 1 && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return nil, nil, fmt.Errorf("leader: %w", context.Canceled)
+		})
+		leaderErr <- err
+	}()
+
+	<-inCompile
+	s, _, err := c.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
+	if err != nil {
+		t.Fatalf("joiner inherited the leader's cancellation: %v", err)
+	}
+	if s == nil || s.Loop != l {
+		t.Fatalf("joiner got schedule %+v", s)
+	}
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader error = %v, want its own context.Canceled", err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Inflight != 1 {
+		t.Errorf("stats = %+v, want 2 misses (cancelled flight, retry) and 1 inflight join", st)
+	}
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d entries, want the retry's 1", c.Len())
+	}
+}
+
+// TestDeadJoinerReturnsOwnErr: a joiner whose context is already done
+// returns its own ctx.Err() at once instead of waiting on the flight.
+func TestDeadJoinerReturnsOwnErr(t *testing.T) {
+	m := machine.Cydra5()
+	l := testLoop(t, m, "dead-joiner", 3)
+	opts := core.DefaultOptions()
+	c := New(8)
+
+	inCompile := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			close(inCompile)
+			<-release
+			return compileDirect(l, m, opts)()
+		})
+		leaderDone <- err
+	}()
+	defer func() {
+		close(release)
+		if err := <-leaderDone; err != nil {
+			t.Errorf("leader: %v", err)
+		}
+	}()
+
+	<-inCompile
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s, _, err := c.Do(ctx, l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+		t.Error("a joiner must not compile")
+		return nil, nil, nil
+	})
+	if s != nil || err != ctx.Err() {
+		t.Errorf("dead joiner got (%v, %v), want (nil, %v)", s, err, ctx.Err())
+	}
+	if st := c.Stats(); st.Inflight != 1 {
+		t.Errorf("stats = %+v, want the joiner counted as 1 inflight join", st)
 	}
 }

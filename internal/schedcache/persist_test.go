@@ -1,6 +1,7 @@
 package schedcache
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,7 +35,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 
 	c1 := New(8)
 	c1.AttachDisk(openDisk(t, dir))
-	s1, d1, err := c1.Do(l, m, opts, compileDirect(l, m, opts))
+	s1, d1, err := c1.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	// The "restarted replica": fresh memory cache, same directory.
 	c2 := New(8)
 	c2.AttachDisk(openDisk(t, dir))
-	s2, d2, err := c2.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	s2, d2, err := c2.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		t.Fatal("warm disk tier must not recompile")
 		return nil, nil, nil
 	})
@@ -64,7 +65,7 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 
 	// Second request on the restarted cache is a plain memory hit: the
 	// disk entry was promoted into the LRU.
-	if _, _, err := c2.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	if _, _, err := c2.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		t.Fatal("promoted entry must serve from memory")
 		return nil, nil, nil
 	}); err != nil {
@@ -87,7 +88,7 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 	c1 := New(8)
 	d1 := openDisk(t, dir)
 	c1.AttachDisk(d1)
-	if _, _, err := c1.Do(l, m, opts, compileDirect(l, m, opts)); err != nil {
+	if _, _, err := c1.Do(context.Background(), l, m, opts, compileDirect(l, m, opts)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -115,7 +116,7 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 	c2 := New(8)
 	c2.AttachDisk(fresh)
 	compiled := false
-	s, _, err := c2.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	s, _, err := c2.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		compiled = true
 		return compileDirect(l, m, opts)()
 	})
@@ -135,7 +136,7 @@ func TestDiskCorruptEntryRecompiles(t *testing.T) {
 	// The recompile healed the entry: a restart now serves it warm.
 	c3 := New(8)
 	c3.AttachDisk(openDisk(t, dir))
-	if _, _, err := c3.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	if _, _, err := c3.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		t.Fatal("healed entry must serve from disk")
 		return nil, nil, nil
 	}); err != nil {
@@ -159,7 +160,7 @@ func TestDiskVersionDrift(t *testing.T) {
 	c := New(8)
 	c.AttachDisk(d)
 	compiled := false
-	if _, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	if _, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		compiled = true
 		return compileDirect(l, m, opts)()
 	}); err != nil {
@@ -201,7 +202,7 @@ func TestDiskV1EntryRecompiles(t *testing.T) {
 	c := New(8)
 	c.AttachDisk(d)
 	compiled := false
-	got, _, err := c.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+	got, _, err := c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 		compiled = true
 		return compileDirect(l, m, opts)()
 	})
@@ -237,7 +238,7 @@ func TestDiskRoundTripManyLoops(t *testing.T) {
 		for mi := range machines {
 			m := machines[mi]
 			l := testLoop(t, m, "many", i)
-			s, d, err := c1.Do(l, m, opts, compileDirect(l, m, opts))
+			s, d, err := c1.Do(context.Background(), l, m, opts, compileDirect(l, m, opts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +255,7 @@ func TestDiskRoundTripManyLoops(t *testing.T) {
 		for mi := range machines {
 			m := machines[mi]
 			l := testLoop(t, m, "many", i)
-			s, d, err := c2.Do(l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			s, d, err := c2.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
 				t.Fatalf("loop %d machine %d recompiled despite warm disk", i, mi)
 				return nil, nil, nil
 			})

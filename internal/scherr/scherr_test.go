@@ -56,7 +56,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "II search exhausted",
 			err: func(t *testing.T) error {
-				_, err := modsched.Compile(l, m, capped())
+				_, err := modsched.Compile(context.Background(), l, m, capped())
 				return err
 			},
 			is:    []error{scherr.ErrNoSchedule},
@@ -65,7 +65,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "slack search exhausted",
 			err: func(t *testing.T) error {
-				_, err := modsched.CompileSlack(l, m, capped())
+				_, err := modsched.CompileSlack(context.Background(), l, m, capped())
 				return err
 			},
 			is:    []error{scherr.ErrNoSchedule},
@@ -74,7 +74,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "nil loop",
 			err: func(t *testing.T) error {
-				_, err := modsched.Compile(nil, m, modsched.DefaultOptions())
+				_, err := modsched.Compile(context.Background(), nil, m, modsched.DefaultOptions())
 				return err
 			},
 			is:    []error{scherr.ErrInvalidLoop},
@@ -83,7 +83,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "nil machine",
 			err: func(t *testing.T) error {
-				_, err := modsched.Compile(l, nil, modsched.DefaultOptions())
+				_, err := modsched.Compile(context.Background(), l, nil, modsched.DefaultOptions())
 				return err
 			},
 			is:    []error{scherr.ErrInvalidMachine},
@@ -92,7 +92,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "nil loop through best effort",
 			err: func(t *testing.T) error {
-				s, deg, err := modsched.CompileBestEffort(nil, m, modsched.DefaultOptions())
+				s, deg, err := modsched.CompileBestEffort(context.Background(), nil, nil, m, modsched.DefaultOptions())
 				if s != nil || deg != nil {
 					t.Error("invalid input must not be degraded around")
 				}
@@ -104,7 +104,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "canceled context",
 			err: func(t *testing.T) error {
-				_, err := modsched.CompileContext(canceled, l, m, modsched.DefaultOptions())
+				_, err := modsched.Compile(canceled, l, m, modsched.DefaultOptions())
 				return err
 			},
 			is:    []error{context.Canceled},
@@ -113,7 +113,7 @@ func TestSentinelClassification(t *testing.T) {
 		{
 			name: "canceled context through best effort",
 			err: func(t *testing.T) error {
-				s, deg, err := modsched.CompileBestEffortContext(canceled, l, m, modsched.DefaultOptions())
+				s, deg, err := modsched.CompileBestEffort(canceled, nil, l, m, modsched.DefaultOptions())
 				if s != nil || deg != nil {
 					t.Error("cancellation must not be degraded around")
 				}
@@ -151,8 +151,8 @@ func TestNoScheduleErrorDetail(t *testing.T) {
 		algo    string
 		compile func() error
 	}{
-		{"iterative", func() error { _, err := modsched.Compile(l, m, capped()); return err }},
-		{"slack", func() error { _, err := modsched.CompileSlack(l, m, capped()); return err }},
+		{"iterative", func() error { _, err := modsched.Compile(context.Background(), l, m, capped()); return err }},
+		{"slack", func() error { _, err := modsched.CompileSlack(context.Background(), l, m, capped()); return err }},
 	} {
 		err := tc.compile()
 		var nse *modsched.NoScheduleError
@@ -173,7 +173,7 @@ func TestNoScheduleErrorDetail(t *testing.T) {
 // carries both earlier failures, each matching ErrNoSchedule.
 func TestBestEffortDegradationWrapsStageErrors(t *testing.T) {
 	l, m := tightLoop(t)
-	s, deg, err := modsched.CompileBestEffort(l, m, capped())
+	s, deg, err := modsched.CompileBestEffort(context.Background(), nil, l, m, capped())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestBudgetExhaustedSentinel(t *testing.T) {
 	l, m := tightLoop(t)
 	opts := capped()
 	opts.BudgetRatio = 0.01
-	_, err := modsched.Compile(l, m, opts)
+	_, err := modsched.Compile(context.Background(), l, m, opts)
 	if err == nil {
 		t.Fatal("expected failure")
 	}

@@ -104,9 +104,6 @@ type OptionsSpec struct {
 	Delays string `json:"delays,omitempty"`
 	// MaxII caps the candidate II search; 0 derives a safe bound.
 	MaxII int `json:"max_ii,omitempty"`
-	// Workers races this many candidate IIs speculatively; results are
-	// bit-identical for any value, so it does not fragment the cache.
-	Workers int `json:"workers,omitempty"`
 }
 
 // CompileResponse is one successful compilation.

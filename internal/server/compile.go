@@ -86,34 +86,24 @@ func buildOptions(spec *OptionsSpec) (core.Options, *ErrorResponse) {
 	if spec.Budget > 0 {
 		opts.BudgetRatio = spec.Budget
 	}
-	switch spec.Priority {
-	case "", "heightr":
-		opts.Priority = core.PriorityHeightR
-	case "fifo":
-		opts.Priority = core.PriorityFIFO
-	case "depth":
-		opts.Priority = core.PriorityDepth
-	case "recfirst":
-		opts.Priority = core.PriorityRecFirst
-	default:
-		return opts, &ErrorResponse{Kind: KindInvalid, Error: "unknown priority " + quote(spec.Priority)}
+	if spec.Priority != "" {
+		p, err := core.ParsePriority(spec.Priority)
+		if err != nil {
+			return opts, &ErrorResponse{Kind: KindInvalid, Error: err.Error()}
+		}
+		opts.Priority = p
 	}
-	switch spec.Delays {
-	case "", "vliw":
-		opts.DelayModel = ir.VLIWDelays
-	case "conservative":
-		opts.DelayModel = ir.ConservativeDelays
-	default:
-		return opts, &ErrorResponse{Kind: KindInvalid, Error: "unknown delay model " + quote(spec.Delays)}
+	if spec.Delays != "" {
+		d, err := ir.ParseDelayModel(spec.Delays)
+		if err != nil {
+			return opts, &ErrorResponse{Kind: KindInvalid, Error: err.Error()}
+		}
+		opts.DelayModel = d
 	}
 	if spec.MaxII < 0 {
 		return opts, &ErrorResponse{Kind: KindInvalid, Error: "negative max_ii"}
 	}
 	opts.MaxII = spec.MaxII
-	if spec.Workers < 0 {
-		return opts, &ErrorResponse{Kind: KindInvalid, Error: "negative workers"}
-	}
-	opts.SearchWorkers = spec.Workers
 	return opts, nil
 }
 
@@ -187,7 +177,7 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 
 	cctx, cancel := context.WithTimeout(ctx, s.compileDeadline(req))
 	defer cancel()
-	sched, deg, err := modsched.CompileBestEffortCached(cctx, s.cache, loop, m, opts)
+	sched, deg, err := modsched.CompileBestEffort(cctx, s.cache, loop, m, opts)
 	if err != nil {
 		kind, status := classify(err)
 		return nil, &ErrorResponse{Kind: kind, Error: err.Error()}, status

@@ -462,3 +462,51 @@ func TestJobsFairness10to1(t *testing.T) {
 		t.Fatalf("interactive dispatched %d, want 10", d)
 	}
 }
+
+// TestJournaledWorkersFieldStillRuns: a job journaled by a build whose
+// options carried a "workers" field must still run after a restart on
+// a build without it. The journal replays payloads through the lenient
+// decoder, so the retired field is ignored rather than failing the job.
+func TestJournaledWorkersFieldStillRuns(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := jobs.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := CompileRequest{Source: daxpySource}
+	id := JobID("", &req)
+	src, err := json.Marshal(daxpySource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := json.RawMessage(`{"source":` + string(src) + `,"options":{"workers":4}}`)
+	if err := j.Append(&jobs.Record{ID: id, Tenant: jobs.NormalizeTenant(""), Sub: 1, State: jobs.StateQueued, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{})
+	if err := s.EnableJobs(JobsConfig{Dir: dir, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.CloseJobs(ctx)
+	})
+	if c := s.JobsCounters(); c.Recovered != 1 {
+		t.Fatalf("recovered %d journaled jobs, want 1", c.Recovered)
+	}
+	fin := waitJob(t, ts.URL, id)
+	if fin.State != jobs.StateDone {
+		t.Fatalf("job state = %q, outcome %s; want done", fin.State, fin.Outcome)
+	}
+	want, err := json.Marshal(New(Config{}).CompileLocal(context.Background(), &req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fin.Outcome, want) {
+		t.Errorf("outcome differs from a compile without the field:\ngot:  %s\nwant: %s", fin.Outcome, want)
+	}
+}

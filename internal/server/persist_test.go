@@ -126,9 +126,6 @@ func TestRouteKeyMatchesCacheKey(t *testing.T) {
 		{Source: daxpySource, Machine: "tiny"},
 		{Source: daxpySource, Options: &OptionsSpec{Priority: "fifo"}},
 		{Source: chainSource(8), Machine: "generic", Options: &OptionsSpec{Delays: "conservative"}},
-		// Workers must not fragment routing, exactly as it does not
-		// fragment the cache.
-		{Source: daxpySource, Options: &OptionsSpec{Workers: 7}},
 		// Inline machines route by parsed fingerprint, through the same
 		// machineFor path the cache key uses.
 		{Source: daxpySource, MachineSource: machine.PrintMachine(machine.Tiny())},

@@ -347,3 +347,24 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestRetiredWorkersFieldRejected: options.workers is no longer part of
+// the wire format, so a /compile body carrying it is a 400 bad_request
+// that names the field, not a silently ignored knob.
+func TestRetiredWorkersFieldRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body, _ := postJSONBody(t, ts.URL+"/compile", map[string]any{
+		"source":  daxpySource,
+		"options": map[string]any{"workers": 2},
+	})
+	if status != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400; body: %s", status, body)
+	}
+	var er ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Kind != KindBadRequest || !strings.Contains(er.Error, `"workers"`) {
+		t.Errorf("error = %+v, want kind %q naming \"workers\"", er, KindBadRequest)
+	}
+}

@@ -19,7 +19,7 @@
 //	x := b.Define("load", xi)
 //	...
 //	loop, err := b.Build()
-//	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+//	sched, err := modsched.Compile(ctx, loop, m, modsched.DefaultOptions())
 //	fmt.Println(sched.II, sched.MII, sched.Length)
 //
 // The experiment harness reproducing the paper's Tables 3-4 and Figure 6
@@ -181,47 +181,21 @@ func NewBuilder(name string, m *Machine) *Builder { return ir.NewBuilder(name, m
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Compile modulo-schedules the loop, trying II = MII, MII+1, ... until a
-// schedule is found; the result is verified before being returned.
-func Compile(l *Loop, m *Machine, opts Options) (*Schedule, error) {
-	return core.ModuloSchedule(l, m, opts)
+// schedule is found; the result is verified before being returned. The
+// scheduler polls ctx between scheduling steps, at every II bump, and
+// inside the MinDist recurrence analysis, and returns an error wrapping
+// ctx.Err() once the context is done. A nil ctx behaves like
+// context.Background().
+func Compile(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, error) {
+	return core.ModuloScheduleContext(ctx, l, m, opts)
 }
 
 // CompileSlack schedules with the lifetime-sensitive slack algorithm
 // (Huff, PLDI 1993 — the paper's reference [18]) instead of iterative
-// modulo scheduling; same framework, verification, and options.
-func CompileSlack(l *Loop, m *Machine, opts Options) (*Schedule, error) {
-	return core.ModuloScheduleSlack(l, m, opts)
-}
-
-// CompileContext is Compile with cancellation: the scheduler polls ctx
-// between scheduling steps, at every II bump, and inside the MinDist
-// recurrence analysis, and returns an error wrapping ctx.Err() once the
-// context is done. A nil ctx behaves like context.Background().
-func CompileContext(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, error) {
-	return core.ModuloScheduleContext(ctx, l, m, opts)
-}
-
-// CompileSlackContext is CompileSlack with cancellation (see
-// CompileContext).
-func CompileSlackContext(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, error) {
+// modulo scheduling; same framework, verification, options, and
+// cancellation as Compile.
+func CompileSlack(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, error) {
 	return core.ModuloScheduleSlackContext(ctx, l, m, opts)
-}
-
-// CompileBestEffort is the graceful-degradation entry point: iterative
-// modulo scheduling, then slack scheduling, then an acyclic list schedule
-// reinterpreted as a degenerate modulo schedule (II = schedule length, no
-// overlap). Every returned schedule is verified by CheckSchedule; the
-// Degradation report names the stage that produced it and carries the
-// earlier stages' failures.
-func CompileBestEffort(l *Loop, m *Machine, opts Options) (*Schedule, *Degradation, error) {
-	return core.ModuloScheduleBestEffort(nil, l, m, opts)
-}
-
-// CompileBestEffortContext is CompileBestEffort with cancellation:
-// cancellation is respected, not degraded around — once ctx is done the
-// fallback chain stops and the cancellation error is returned.
-func CompileBestEffortContext(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, *Degradation, error) {
-	return core.ModuloScheduleBestEffort(ctx, l, m, opts)
 }
 
 // Memoizing compile cache (see internal/schedcache). Keys are
@@ -239,30 +213,31 @@ type (
 // entries (a default capacity if capacity <= 0).
 func NewCompileCache(capacity int) *CompileCache { return schedcache.New(capacity) }
 
-// CompileBestEffortCached is CompileBestEffortContext through a
-// memoizing cache: a repeated compilation of a structurally identical
-// loop returns a deep copy of the cached schedule instead of re-running
-// the II search. A nil cache is the uncached call.
+// CompileBestEffort is the graceful-degradation entry point: iterative
+// modulo scheduling, then slack scheduling, then an acyclic list schedule
+// reinterpreted as a degenerate modulo schedule (II = schedule length, no
+// overlap). Every returned schedule is verified by CheckSchedule; the
+// Degradation report names the stage that produced it and carries the
+// earlier stages' failures.
 //
-// The context is the first parameter, per Go convention. (Earlier
-// releases took the cache first; that argument order is gone.)
-func CompileBestEffortCached(ctx context.Context, cache *CompileCache, l *Loop, m *Machine, opts Options) (*Schedule, *Degradation, error) {
-	if cache == nil {
+// Cancellation is respected, not degraded around: once ctx is done the
+// fallback chain stops and the cancellation error is returned. A non-nil
+// cache memoizes the result: a repeated compilation of a structurally
+// identical loop returns a deep copy of the cached schedule instead of
+// re-running the II search. A nil cache compiles uncached; a nil ctx
+// behaves like context.Background().
+func CompileBestEffort(ctx context.Context, cache *CompileCache, l *Loop, m *Machine, opts Options) (*Schedule, *Degradation, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if cache == nil || l == nil || m == nil {
+		// A nil loop or machine has no cache key; the scheduler rejects
+		// it with the typed error.
 		return core.ModuloScheduleBestEffort(ctx, l, m, opts)
 	}
-	return cache.Do(l, m, opts, func() (*Schedule, *Degradation, error) {
+	return cache.Do(ctx, l, m, opts, func() (*Schedule, *Degradation, error) {
 		return core.ModuloScheduleBestEffort(ctx, l, m, opts)
 	})
-}
-
-// CompileAcyclic runs only the final best-effort stage: the acyclic list
-// schedule of one iteration reinterpreted as a degenerate modulo
-// schedule (II = schedule length, no iteration overlap). It needs no II
-// search or deadline, so it can deliver a verified schedule even after
-// cancellation has killed the real schedulers; the stress harness uses
-// it as the differential baseline.
-func CompileAcyclic(ctx context.Context, l *Loop, m *Machine, opts Options) (*Schedule, error) {
-	return core.ModuloScheduleAcyclic(ctx, l, m, opts)
 }
 
 // Sentinel errors for dispatching on compilation failures with errors.Is.

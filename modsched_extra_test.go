@@ -1,6 +1,7 @@
 package modsched_test
 
 import (
+	"context"
 	"testing"
 
 	"modsched"
@@ -61,7 +62,7 @@ func TestPublicAPIPreprocessing(t *testing.T) {
 	if h := modsched.ExtendHist([]float64{100}, 8, 1, 3); h[2] != 84 {
 		t.Errorf("ExtendHist = %v", h)
 	}
-	if _, err := modsched.Compile(l2, m, modsched.DefaultOptions()); err != nil {
+	if _, err := modsched.Compile(context.Background(), l2, m, modsched.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -99,7 +100,7 @@ func TestPublicAPISlackAndWhile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sched, err := modsched.CompileSlack(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.CompileSlack(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package modsched_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := modsched.Compile(loop, m, modsched.DefaultOptions())
+	sched, err := modsched.Compile(context.Background(), loop, m, modsched.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ brtop
 	if !strings.Contains(modsched.PrintLoop(l), "fadd") {
 		t.Error("print lost ops")
 	}
-	if _, err := modsched.Compile(l, m, modsched.DefaultOptions()); err != nil {
+	if _, err := modsched.Compile(context.Background(), l, m, modsched.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,7 +172,7 @@ func TestPublicAPICustomMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := modsched.Compile(l, m, modsched.DefaultOptions())
+	s, err := modsched.Compile(context.Background(), l, m, modsched.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
