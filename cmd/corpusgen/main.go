@@ -32,11 +32,11 @@ import (
 
 func main() {
 	var (
-		out     = flag.String("out", "corpus", "output directory")
-		n       = flag.Int("n", 0, "synthetic corpus size (default: the paper's 1300)")
-		seed    = flag.Int64("seed", 0, "generator seed (default: built-in)")
-		shards  = flag.Int("shards", 0, "write a sharded streaming corpus with this many shards instead of per-loop files")
-		kernsFl = flag.Bool("kernels", false, "emit the Livermore kernel suite instead")
+		out      = flag.String("out", "corpus", "output directory")
+		n        = flag.Int("n", 0, "synthetic corpus size (default: the paper's 1300)")
+		seed     = flag.Int64("seed", 0, "generator seed (default: built-in)")
+		shards   = flag.Int("shards", 0, "write a sharded streaming corpus with this many shards instead of per-loop files")
+		kernsFl  = flag.Bool("kernels", false, "emit the Livermore kernel suite instead")
 		list     = flag.Bool("list", false, "print loop names and sizes to stdout instead of writing files")
 		workers  = flag.Int("workers", 0, "parallel printer/writer workers (0 = one per CPU)")
 		machSpec = flag.String("machine", "cydra5", "machine model: cydra5, generic, tiny, or a machlang file (docs/machines.md)")

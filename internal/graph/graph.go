@@ -31,7 +31,7 @@ func NewDegreed(n int, deg []int) *Graph {
 	back := make([]int, total)
 	o := 0
 	for i, d := range deg {
-		g.Adj[i] = back[o:o : o+d]
+		g.Adj[i] = back[o : o : o+d]
 		o += d
 	}
 	return g

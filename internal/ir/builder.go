@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"modsched/internal/machine"
 )
@@ -23,7 +24,8 @@ type Builder struct {
 	mach *machine.Machine
 
 	ops        []bOp
-	futures    []int // future id -> op index, or -1 while unresolved
+	vals       []Value // backs every op's srcs
+	futures    []int   // future id -> op index, or -1 while unresolved
 	extraEdges []protoEdge
 	errs       []error
 
@@ -102,6 +104,15 @@ func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf("builder %s: "+format, append([]any{b.name}, args...)...))
 }
 
+// Grow reserves room for ops more operations reading operands source
+// values between them, so a caller that knows the loop's size (a parser)
+// adds its operations without regrowing the builder.
+func (b *Builder) Grow(ops, operands int) {
+	b.ops = slices.Grow(b.ops, ops)
+	b.futures = slices.Grow(b.futures, ops)
+	b.vals = slices.Grow(b.vals, operands)
+}
+
 // SetProfile sets the profile weights used by the execution-time metric.
 func (b *Builder) SetProfile(entryFreq, loopFreq int64) {
 	b.entryFreq, b.loopFreq = entryFreq, loopFreq
@@ -161,7 +172,7 @@ func (b *Builder) define(futureID int, opcode string, imm int64, srcs []Value) V
 	b.checkOpcode(opcode)
 	op := bOp{
 		opcode:  opcode,
-		srcs:    append([]Value(nil), srcs...),
+		srcs:    b.keep(srcs),
 		pred:    b.pred,
 		hasPred: b.hasPred,
 		dest:    b.nextReg,
@@ -193,13 +204,24 @@ func (b *Builder) effect(opcode string, imm int64, srcs []Value) Op {
 	b.checkOpcode(opcode)
 	b.ops = append(b.ops, bOp{
 		opcode:  opcode,
-		srcs:    append([]Value(nil), srcs...),
+		srcs:    b.keep(srcs),
 		pred:    b.pred,
 		hasPred: b.hasPred,
 		dest:    NoReg,
 		imm:     imm,
 	})
 	return Op(len(b.ops) - 1)
+}
+
+// keep copies an op's operands into the builder's arena. Each op's slice
+// is capped at its length, so no append can reach a neighbour's.
+func (b *Builder) keep(srcs []Value) []Value {
+	if len(srcs) == 0 {
+		return nil
+	}
+	lo := len(b.vals)
+	b.vals = append(b.vals, srcs...)
+	return b.vals[lo:len(b.vals):len(b.vals)]
 }
 
 // Comment attaches provenance text to the most recently added operation.
@@ -311,35 +333,63 @@ func (b *Builder) Build() (*Loop, error) {
 		}
 	}
 
+	// One block each for the operations and their operand lists, and the
+	// edge list sized exactly: a loop is a handful of allocations however
+	// many operations it has.
+	nsrcs, nedges := 0, 2*n+len(b.extraEdges)
+	for _, op := range b.ops {
+		nsrcs += len(op.srcs)
+		for _, s := range op.srcs {
+			if s.kind == vOp || s.kind == vFuture {
+				nedges++
+			}
+		}
+		if op.hasPred {
+			if op.dest != NoReg {
+				nedges++
+			}
+			if op.pred.kind == vOp || op.pred.kind == vFuture {
+				nedges++
+			}
+		}
+	}
+	block := make([]Operation, n+2)
+	regs, dists := make([]Reg, nsrcs), make([]int, nsrcs)
 	l := &Loop{
 		Name:      b.name,
-		Ops:       make([]*Operation, 0, n+2),
+		Ops:       make([]*Operation, n+2),
+		Edges:     make([]Edge, 0, nedges),
 		EntryFreq: b.entryFreq,
 		LoopFreq:  b.loopFreq,
 	}
-	l.Ops = append(l.Ops, &Operation{ID: 0, Opcode: "START"})
+	block[0] = Operation{ID: 0, Opcode: "START"}
+	l.Ops[0] = &block[0]
 	for i, op := range b.ops {
-		ro := &Operation{
+		ro := &block[i+1]
+		*ro = Operation{
 			ID:      i + 1,
 			Opcode:  op.opcode,
 			Dest:    op.dest,
 			Imm:     op.imm,
 			Comment: op.comment,
 		}
-		for _, s := range op.srcs {
-			_, dist, reg, _ := b.resolve(s)
-			ro.Srcs = append(ro.Srcs, reg)
-			ro.SrcDists = append(ro.SrcDists, dist)
+		if k := len(op.srcs); k > 0 {
+			ro.Srcs, ro.SrcDists = regs[:k:k], dists[:k:k]
+			regs, dists = regs[k:], dists[k:]
+			for j, s := range op.srcs {
+				_, ro.SrcDists[j], ro.Srcs[j], _ = b.resolve(s)
+			}
 		}
 		if op.hasPred {
 			_, dist, reg, _ := b.resolve(op.pred)
 			ro.Pred = reg
 			ro.PredDist = dist
 		}
-		l.Ops = append(l.Ops, ro)
+		l.Ops[i+1] = ro
 	}
 	stopID := n + 1
-	l.Ops = append(l.Ops, &Operation{ID: stopID, Opcode: "STOP"})
+	block[stopID] = Operation{ID: stopID, Opcode: "STOP"}
+	l.Ops[stopID] = &block[stopID]
 
 	// START precedes and STOP succeeds every real operation.
 	for i := 1; i <= n; i++ {

@@ -197,15 +197,29 @@ func (l *Loop) Validate(m *machine.Machine) error {
 	}
 	// Dynamic single assignment: every register is written by at most one
 	// operation (its EVR).
-	defs := make(map[Reg]int)
-	for i, op := range l.Ops {
-		if op.Dest == NoReg {
-			continue
+	// Builders number destinations in op order, so strictly increasing
+	// ones (no duplicate possible) skip the map.
+	last, increasing := NoReg, true
+	for _, op := range l.Ops {
+		if op.Dest != NoReg {
+			if op.Dest <= last {
+				increasing = false
+				break
+			}
+			last = op.Dest
 		}
-		if prev, dup := defs[op.Dest]; dup {
-			return fmt.Errorf("loop %s: register r%d defined by ops %d and %d (not in DSA form)", l.Name, op.Dest, prev, i)
+	}
+	if !increasing {
+		defs := make(map[Reg]int)
+		for i, op := range l.Ops {
+			if op.Dest == NoReg {
+				continue
+			}
+			if prev, dup := defs[op.Dest]; dup {
+				return fmt.Errorf("loop %s: register r%d defined by ops %d and %d (not in DSA form)", l.Name, op.Dest, prev, i)
+			}
+			defs[op.Dest] = i
 		}
-		defs[op.Dest] = i
 	}
 	for ei, e := range l.Edges {
 		if e.From < 0 || e.From >= len(l.Ops) || e.To < 0 || e.To >= len(l.Ops) {

@@ -1,6 +1,9 @@
 package looplang
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // ParseError describes a malformed loop-format input. Every error returned
 // by Parse is (or wraps) a *ParseError, so callers can dispatch with
@@ -36,16 +39,20 @@ func (p *parser) errf(line int, format string, args ...any) error {
 }
 
 // errTok builds a ParseError positioned at the first occurrence of tok on
-// the given source line; the column is omitted when the token cannot be
-// located (e.g. it was synthesized during scanning).
-func (p *parser) errTok(line int, tok, format string, args ...any) error {
+// the line at; the column is omitted when the token cannot be located
+// (e.g. it was synthesized during scanning).
+func (p *parser) errTok(at pos, tok, format string, args ...any) error {
 	col := 0
-	if tok != "" && line >= 1 && line <= len(p.lines) {
-		if i := indexToken(p.lines[line-1], tok); i >= 0 {
+	if tok != "" {
+		line := p.src[at.at:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+		}
+		if i := indexToken(line, tok); i >= 0 {
 			col = i + 1
 		}
 	}
-	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: at.line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
 // indexToken finds tok in s preferring matches delimited by separators, so

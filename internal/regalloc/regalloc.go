@@ -30,9 +30,10 @@
 package regalloc
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"modsched/internal/ir"
 )
@@ -99,7 +100,8 @@ func AllocateRotating(wands []Wand) (*Rotating, error) {
 func prepare(wands []Wand) ([]Wand, int, error) {
 	sumLen := 0
 	maxLife := 0
-	sorted := make([]Wand, len(wands))
+	type key struct{ span, i int }
+	order := make([]key, len(wands))
 	for i, w := range wands {
 		if w.Life < 0 || w.Stage < 0 {
 			return nil, 0, fmt.Errorf("regalloc: wand r%d has negative life/stage", w.Reg)
@@ -116,15 +118,19 @@ func prepare(wands []Wand) ([]Wand, int, error) {
 		if w.Life+1 > maxLife {
 			maxLife = w.Life + 1
 		}
-		sorted[i] = w
+		order[i] = key{w.maxSpan(), i}
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		li, lj := sorted[i].maxSpan(), sorted[j].maxSpan()
-		if li != lj {
-			return li > lj
+	// Longest span first, then by register.
+	slices.SortFunc(order, func(a, b key) int {
+		if c := cmp.Compare(b.span, a.span); c != 0 {
+			return c
 		}
-		return sorted[i].Reg < sorted[j].Reg
+		return cmp.Compare(wands[a.i].Reg, wands[b.i].Reg)
 	})
+	sorted := make([]Wand, len(wands))
+	for k, o := range order {
+		sorted[k] = wands[o.i]
+	}
 	size := sumLen
 	if size < maxLife+1 {
 		size = maxLife + 1

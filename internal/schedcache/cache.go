@@ -274,6 +274,27 @@ func (c *Cache) Do(ctx context.Context, l *ir.Loop, m *machine.Machine, opts cor
 	f := &flight{done: make(chan struct{})}
 	c.flights[key] = f
 	c.mu.Unlock()
+	// A compile (or disk read) that panics must not leave its flight
+	// published and open, or every later caller of the key would join it
+	// and wait for good. Unwinding unpublishes it and wakes the joiners
+	// with an internal error; the panic goes on to the caller.
+	settled := false
+	defer func() {
+		if settled {
+			return
+		}
+		c.mu.Lock()
+		if c.flights[key] == f {
+			delete(c.flights, key)
+		}
+		c.mu.Unlock()
+		select {
+		case <-f.done:
+		default:
+			f.err = fmt.Errorf("%w: schedcache: compile panicked", core.ErrInternal)
+			close(f.done)
+		}
+	}()
 
 	// The persistent tier, when attached, intercepts the compile: a
 	// verified disk entry is promoted into memory without recompiling
@@ -295,6 +316,7 @@ func (c *Cache) Do(ctx context.Context, l *ir.Loop, m *machine.Machine, opts cor
 		c.mu.Unlock()
 		f.err = err
 		close(f.done)
+		settled = true
 		return nil, nil, err
 	}
 	// The master copy is detached from the result handed to the miss
@@ -317,6 +339,7 @@ func (c *Cache) Do(ctx context.Context, l *ir.Loop, m *machine.Machine, opts cor
 		c.stats.Evictions++
 	}
 	c.mu.Unlock()
+	settled = true
 	return sched, deg, nil
 }
 

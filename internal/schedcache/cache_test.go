@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"modsched/internal/core"
 	"modsched/internal/ir"
@@ -256,6 +257,53 @@ func TestCacheErrorsNotCached(t *testing.T) {
 
 // TestMachineFingerprintCloneIdentity is the clone-identity contract the
 // cache key relies on, checked for all bundled machines.
+// TestPanickingCompileReleasesKey: a compile that panics must not wedge
+// its key. The panic reaches the leader's caller, a joiner of the flight
+// gets an internal error, and the next caller compiles afresh.
+func TestPanickingCompileReleasesKey(t *testing.T) {
+	m := machine.Cydra5()
+	l := testLoop(t, m, "panics", 2)
+	opts := core.DefaultOptions()
+	c := New(8)
+
+	release := make(chan struct{})
+	leader := make(chan any)
+	go func() {
+		defer func() { leader <- recover() }()
+		c.Do(context.Background(), l, m, opts, func() (*core.Schedule, *core.Degradation, error) {
+			<-release
+			panic("compile blew up")
+		})
+	}()
+	joined := make(chan error)
+	go func() {
+		for c.Stats().Misses == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, _, err := c.Do(ctx, l, m, opts, compileDirect(l, m, opts))
+		joined <- err
+	}()
+	for c.Stats().Inflight == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-leader; r == nil {
+		t.Error("the compile's panic did not reach the leader's caller")
+	}
+	if err := <-joined; !errors.Is(err, core.ErrInternal) {
+		t.Errorf("joiner of the panicked flight got %v, want an ErrInternal", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	s, _, err := c.Do(ctx, l, m, opts, compileDirect(l, m, opts))
+	if err != nil || s == nil {
+		t.Fatalf("Do after a panicked compile: schedule %v, error %v", s, err)
+	}
+}
+
 func TestMachineFingerprintCloneIdentity(t *testing.T) {
 	for _, m := range []*machine.Machine{
 		machine.Cydra5(),
